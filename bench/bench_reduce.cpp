@@ -10,14 +10,23 @@
 //    (rotated construction order) hash differently pre-reduction but map
 //    onto one reduced net; the second spelling must warm-hit the shared
 //    stgcore tier.
+//  * front-end scaling -- run_passes(all) and canonical_text per call on
+//    phase_envelope 64/128/256 and duplex_channel 32/128.  Both are meant
+//    to be near-linear in net size; the nightly gate holds the 256/64
+//    phase_envelope ratio of run_passes below 8 (a quadratic pass
+//    measures about 20x) and that of canonical_text below 12 (it sorts
+//    its lines, and its text grows 4.3x).
 //
 // Verdicts are asserted identical across every variant while measuring --
 // a benchmark run doubles as a differential check.  Writes
 // BENCH_reduce.json.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +34,7 @@
 #include "cache/result_cache.hpp"
 #include "core/verifier.hpp"
 #include "stg/astg.hpp"
+#include "stg/benchmarks.hpp"
 #include "stg/builder.hpp"
 #include "stg/reduce/reduce.hpp"
 #include "unfolding/unfolder.hpp"
@@ -77,6 +87,29 @@ stg::Stg redundant_handshakes(int n) {
     }
     return b.build();
 }
+
+/// One timed front-end operation on one net: `reps` calls per batch, and
+/// the fastest batch seen so far.
+struct TimedOp {
+    std::function<void()> fn;
+    std::size_t reps = 1;
+    double best_s = 0.0;
+
+    double batch() const {
+        Stopwatch timer;
+        for (std::size_t i = 0; i < reps; ++i) fn();
+        return timer.seconds();
+    }
+    /// Double the repetitions until one batch takes at least 20 ms, so
+    /// small nets still time in the ms range.
+    void calibrate() {
+        for (reps = 1; (best_s = batch()) < 0.02; reps *= 2) {
+        }
+    }
+    [[nodiscard]] double per_call_s() const {
+        return best_s / static_cast<double>(reps);
+    }
+};
 
 std::string verdict_string(const core::VerificationReport& r) {
     return std::string(r.usc.holds ? "U" : "u") + (r.csc.holds ? "C" : "c");
@@ -213,6 +246,64 @@ int main() {
                            .set("pairs", pairs));
     }
     fs::remove_all(cache_dir);
+
+    // --- front-end scaling: reduce + canonical text per call ------------
+    std::printf("\nFront-end scaling, reduce=all and canonical_text per call\n");
+    benchutil::rule(78);
+    std::printf("  %-20s %8s %12s %12s %8s\n", "model", "places", "reduce",
+                "canon", "reps");
+    // Every size is timed once per round and keeps its fastest batch, so
+    // a slow spell of a shared host hits all sizes alike instead of
+    // skewing the 256/64 ratio the nightly gate reads.
+    struct Sweep {
+        std::string family;
+        int n;
+        std::shared_ptr<const stg::Stg> model;
+        TimedOp reduce, canon;
+    };
+    std::vector<Sweep> sweep;
+    for (const auto& [family, n] :
+         std::vector<std::pair<std::string, int>>{{"phase_envelope", 64},
+                                                  {"phase_envelope", 128},
+                                                  {"phase_envelope", 256},
+                                                  {"duplex_channel", 32},
+                                                  {"duplex_channel", 128}}) {
+        Sweep& s = sweep.emplace_back();
+        s.family = family;
+        s.n = n;
+        s.model = std::make_shared<const stg::Stg>(
+            family == "phase_envelope" ? stg::bench::phase_envelope(n)
+                                       : stg::bench::duplex_channel(n, false));
+        s.reduce.fn = [model = s.model] {
+            (void)stg::reduce::run_passes(model, stg::reduce::Options::all());
+        };
+        s.canon.fn = [model = s.model] {
+            (void)stg::reduce::canonical_text(*model);
+        };
+        s.reduce.calibrate();
+        s.canon.calibrate();
+    }
+    for (int round = 0; round < 7; ++round)
+        for (Sweep& s : sweep)
+            for (TimedOp* op : {&s.reduce, &s.canon})
+                op->best_s = std::min(op->best_s, op->batch());
+    for (const Sweep& s : sweep) {
+        const std::string name = s.family + "(" + std::to_string(s.n) + ")";
+        std::printf("  %-20s %8zu %12s %12s %8zu\n", name.c_str(),
+                    s.model->net().num_places(),
+                    benchutil::fmt_time(s.reduce.per_call_s()).c_str(),
+                    benchutil::fmt_time(s.canon.per_call_s()).c_str(),
+                    std::min(s.reduce.reps, s.canon.reps));
+        report.add_row(obs::Json::object()
+                           .set("benchmark", "frontend_scaling")
+                           .set("family", s.family)
+                           .set("size", s.n)
+                           .set("places", s.model->net().num_places())
+                           .set("reduce_seconds", s.reduce.per_call_s())
+                           .set("canonical_seconds", s.canon.per_call_s())
+                           .set("reduce_reps", s.reduce.reps)
+                           .set("canonical_reps", s.canon.reps));
+    }
 
     std::printf("\n");
     report.write();

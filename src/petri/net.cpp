@@ -6,9 +6,9 @@ namespace stgcc::petri {
 
 PlaceId Net::add_place(std::string name) {
     STGCC_REQUIRE(!name.empty());
-    STGCC_REQUIRE(place_index_.find(name) == place_index_.end());
     const PlaceId id = static_cast<PlaceId>(place_names_.size());
-    place_index_.emplace(name, id);
+    const bool fresh = place_index_.try_emplace(name, id).second;
+    STGCC_REQUIRE(fresh);
     place_names_.push_back(std::move(name));
     place_pre_.emplace_back();
     place_post_.emplace_back();
@@ -17,9 +17,9 @@ PlaceId Net::add_place(std::string name) {
 
 TransitionId Net::add_transition(std::string name) {
     STGCC_REQUIRE(!name.empty());
-    STGCC_REQUIRE(trans_index_.find(name) == trans_index_.end());
     const TransitionId id = static_cast<TransitionId>(trans_names_.size());
-    trans_index_.emplace(name, id);
+    const bool fresh = trans_index_.try_emplace(name, id).second;
+    STGCC_REQUIRE(fresh);
     trans_names_.push_back(std::move(name));
     trans_pre_.emplace_back();
     trans_post_.emplace_back();
@@ -43,12 +43,12 @@ void Net::add_arc_tp(TransitionId t, PlaceId p) {
 }
 
 PlaceId Net::find_place(std::string_view name) const {
-    auto it = place_index_.find(std::string(name));
+    auto it = place_index_.find(name);
     return it == place_index_.end() ? kNoPlace : it->second;
 }
 
 TransitionId Net::find_transition(std::string_view name) const {
-    auto it = trans_index_.find(std::string(name));
+    auto it = trans_index_.find(name);
     return it == trans_index_.end() ? kNoTransition : it->second;
 }
 

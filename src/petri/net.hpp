@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -86,10 +87,22 @@ public:
     [[nodiscard]] std::size_t num_arcs() const noexcept { return num_arcs_; }
 
 private:
+    /// Transparent string hash: name lookups by string_view allocate
+    /// nothing (the parser resolves every arc endpoint by name).
+    struct NameHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const noexcept {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+    template <typename Id>
+    using NameIndex =
+        std::unordered_map<std::string, Id, NameHash, std::equal_to<>>;
+
     std::vector<std::string> place_names_;
     std::vector<std::string> trans_names_;
-    std::unordered_map<std::string, PlaceId> place_index_;
-    std::unordered_map<std::string, TransitionId> trans_index_;
+    NameIndex<PlaceId> place_index_;
+    NameIndex<TransitionId> trans_index_;
     std::vector<std::vector<PlaceId>> trans_pre_;
     std::vector<std::vector<PlaceId>> trans_post_;
     std::vector<std::vector<TransitionId>> place_pre_;

@@ -172,11 +172,12 @@ NetSystem parse_pnml(std::istream& in) {
     std::map<std::string, TransitionId> transitions;
     std::map<std::string, std::uint32_t> marking;  // by pnml id
     struct Arc {
-        std::string source, target;
+        std::string id, source, target;
     };
     std::vector<Arc> arcs;
+    bool in_arc = false;
 
-    enum class In { None, Place, Transition, Name, InitialMarking };
+    enum class In { None, Place, Transition, Name, InitialMarking, Inscription };
     std::string current_id;
     bool current_is_place = false;
     std::string current_name;
@@ -229,7 +230,15 @@ NetSystem parse_pnml(std::istream& in) {
             finish_node();
             if (!tag->attrs.count("source") || !tag->attrs.count("target"))
                 throw ModelError("pnml: arc without source/target");
-            arcs.push_back(Arc{tag->attrs["source"], tag->attrs["target"]});
+            arcs.push_back(Arc{tag->attrs.count("id") ? tag->attrs["id"] : "",
+                               tag->attrs["source"], tag->attrs["target"]});
+            in_arc = !tag->self_closing;
+        } else if (tag->name == "arc" && tag->closing) {
+            in_arc = false;
+        } else if (tag->name == "inscription" && !tag->closing) {
+            if (in_arc) context = In::Inscription;
+        } else if (tag->name == "inscription" && tag->closing) {
+            context = In::None;
         } else if (tag->name == "name" && !tag->closing) {
             if (context == In::Place || context == In::Transition)
                 context = In::Name;
@@ -246,6 +255,21 @@ NetSystem parse_pnml(std::istream& in) {
                 } catch (const std::exception&) {
                     throw ModelError("pnml: bad initialMarking '" + value + "'");
                 }
+            } else if (context == In::Inscription) {
+                // petri::Net is ordinary (every arc has weight 1); reading a
+                // heavier arc as weight 1 would change the verdict, so it
+                // is rejected instead.
+                const Arc& a = arcs.back();
+                const auto digit = value.find_first_not_of('0');
+                const bool weight_one = digit != std::string::npos &&
+                                        value.compare(digit, std::string::npos,
+                                                      "1") == 0;
+                if (!weight_one)
+                    throw ModelError(
+                        "pnml: arc " +
+                        (a.id.empty() ? std::string() : "'" + a.id + "' ") +
+                        "(" + a.source + " -> " + a.target + ") has weight '" +
+                        value + "'; only weight-1 arcs are supported");
             }
         } else if ((tag->name == "name" || tag->name == "initialMarking") &&
                    tag->closing) {

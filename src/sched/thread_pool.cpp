@@ -144,6 +144,7 @@ void WorkStealingPool::configure_groups(std::size_t n) {
 
 WorkStealingPool::GroupStats WorkStealingPool::group_stats(
     std::size_t group) const {
+    await_accounting();
     GroupStats s;
     if (group >= groups_.size()) return s;
     const GroupSlot& g = *groups_[group];
@@ -257,6 +258,12 @@ void WorkStealingPool::execute(PoolTask& task, unsigned self_index,
     ctx.group = task.meta.group;
     ExecContext* const prev = t_exec;
     t_exec = &ctx;
+    // A body can release its waiter before it returns, so the task counts
+    // as in flight from before the body until its tallies are published.
+    std::atomic<std::uint64_t>& in_flight =
+        self_index != kNotWorker ? workers_[self_index]->in_flight
+                                 : external_in_flight_;
+    in_flight.fetch_add(1, std::memory_order_relaxed);
     task.fn();
     t_exec = prev;
     task.fn = nullptr;  // release captures before accounting
@@ -301,6 +308,10 @@ void WorkStealingPool::execute(PoolTask& task, unsigned self_index,
         h_task_duration().observe(ns);
         if (stolen) h_steal_latency().observe(queue_delay);
     }
+    // Release: a stats() that acquires in_flight == 0 sees every tally
+    // above.  The increment precedes the body, so a caller that saw the
+    // body's completion signal also sees this task in flight until here.
+    in_flight.fetch_sub(1, std::memory_order_release);
 }
 
 void WorkStealingPool::worker_main(unsigned index) {
@@ -354,7 +365,18 @@ void WorkStealingPool::help_until(const std::function<bool()>& done) {
     }
 }
 
+void WorkStealingPool::await_accounting() const {
+    if (t_exec != nullptr) return;  // inside a task: it is in flight itself
+    const auto drain = [](const std::atomic<std::uint64_t>& in_flight) {
+        while (in_flight.load(std::memory_order_acquire) != 0)
+            std::this_thread::yield();
+    };
+    for (const auto& w : workers_) drain(w->in_flight);
+    drain(external_in_flight_);
+}
+
 WorkStealingPool::Stats WorkStealingPool::stats() const {
+    await_accounting();
     Stats s;
     for (const auto& w : workers_) {
         s.executed += w->executed.load(std::memory_order_relaxed);

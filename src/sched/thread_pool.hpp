@@ -112,14 +112,20 @@ public:
         std::uint64_t park_ns = 0;         ///< summed parked time
         std::uint64_t injector_contention = 0;  ///< injector pushes that queued
     };
+    /// Exact for every task whose completion the caller has observed (a
+    /// TaskGroup::wait, or a flag the task body set): first waits until no
+    /// running task is still publishing its tallies.  Call it once the
+    /// work it should cover is done -- it then waits only microseconds.
+    /// From inside a pool task it does not wait (that task is itself in
+    /// flight) and returns the current, possibly partial, tallies.
     [[nodiscard]] Stats stats() const;
 
     /// Per-group attribution: a corpus driver sizes the table once before
     /// submitting work (`configure_groups(models)`), each top-level task
     /// claims its group via `set_current_group(i)`, and nested submissions
     /// inherit the submitter's group.  `group_stats` reads back the tallies
-    /// (exact once the group's tasks are quiescent, i.e. after the owning
-    /// TaskGroup::wait returned).
+    /// and is exact under the same rule as stats(), e.g. after the owning
+    /// TaskGroup::wait returned.
     struct GroupStats {
         std::uint64_t tasks = 0;
         std::uint64_t queue_delay_ns = 0;
@@ -143,6 +149,9 @@ private:
         std::atomic<std::uint64_t> queue_delay_ns{0};
         std::atomic<std::uint64_t> parks{0};
         std::atomic<std::uint64_t> park_ns{0};
+        /// Tasks this thread is running whose accounting is not done
+        /// yet (nested helps count too); see await_accounting().
+        std::atomic<std::uint64_t> in_flight{0};
     };
 
     struct GroupSlot {
@@ -157,6 +166,8 @@ private:
     bool try_get(PoolTask& out, unsigned self_index, bool& stolen);
     void execute(PoolTask& task, unsigned self_index, bool stolen);
     void notify_one_locked();
+    /// Block until no thread has a task in flight (see stats()).
+    void await_accounting() const;
 
     std::vector<std::unique_ptr<Worker>> workers_;
     WorkDequeT<PoolTask> injector_;
@@ -178,6 +189,10 @@ private:
     std::atomic<std::uint64_t> external_stolen_{0};
     std::atomic<std::uint64_t> external_busy_ns_{0};
     std::atomic<std::uint64_t> external_queue_delay_ns_{0};
+    // In-flight count of non-worker threads executing tasks (see
+    // Worker::in_flight); per-thread counters keep the hot path free of
+    // a pool-wide contended cache line.
+    std::atomic<std::uint64_t> external_in_flight_{0};
 };
 
 /// Claim attribution group `group` for the pool task the calling thread is

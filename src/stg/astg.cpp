@@ -4,6 +4,8 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "stg/builder.hpp"
@@ -84,7 +86,6 @@ Stg parse_astg(std::istream& in) {
     bool saw_graph = false;
     bool saw_marking = false;
     bool saw_end = false;
-    std::vector<std::string> declared_dummies;
 
     // Places are not declared in .g; remember every bare token we have seen
     // as a source/target so markings can reference them.
@@ -163,27 +164,22 @@ Stg parse_astg(std::istream& in) {
 
     StgBuilder& b = ensure_builder();
 
-    // First pass: declare every place-looking token so arcs resolve them.
+    // First pass: declare every place-looking token so arcs resolve them,
+    // in order of first appearance (that order fixes the place ids).  Both
+    // lookups are hash sets, so the pass is linear in the graph text.
     Stg probe;  // unused; is_place_token ignores it
-    std::vector<std::string> place_tokens;
-    auto is_dummy_name = [&](const std::string& tok) {
-        std::string base = tok;
-        const auto slash = base.rfind('/');
-        if (slash != std::string::npos) base = base.substr(0, slash);
-        return std::find_if(pending_dummies.begin(), pending_dummies.end(),
-                            [&](const std::string& d) { return d == base; }) !=
-               pending_dummies.end();
+    const std::unordered_set<std::string_view> dummy_names(
+        pending_dummies.begin(), pending_dummies.end());
+    std::unordered_set<std::string_view> place_tokens;
+    auto is_dummy_name = [&](std::string_view tok) {
+        return dummy_names.count(tok.substr(0, tok.rfind('/'))) > 0;
     };
     for (std::size_t li = 0; li < graph_lines.size(); ++li) {
         for (const std::string& tok : graph_lines[li]) {
             if (tok.front() == '<') continue;  // implicit place reference
             if (!is_place_token(tok, probe, false)) continue;
             if (is_dummy_name(tok)) continue;
-            if (std::find(place_tokens.begin(), place_tokens.end(), tok) ==
-                place_tokens.end()) {
-                place_tokens.push_back(tok);
-                b.place(tok, 0);
-            }
+            if (place_tokens.insert(tok).second) b.place(tok, 0);
         }
     }
 

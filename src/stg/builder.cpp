@@ -41,17 +41,18 @@ StgBuilder& StgBuilder::dummy(const std::string& name) {
 
 StgBuilder& StgBuilder::place(const std::string& name, std::uint32_t tokens) {
     STGCC_REQUIRE(!built_);
-    if (places_.count(name)) throw ModelError("duplicate place: " + name);
+    if (stg_.net().find_place(name) != petri::kNoPlace)
+        throw ModelError("duplicate place: " + name);
     const petri::PlaceId p = stg_.add_place(name);
-    places_.emplace(name, p);
     init_tokens_.resize(p + 1, 0);
     init_tokens_[p] = tokens;
     return *this;
 }
 
 petri::TransitionId StgBuilder::transition_for(const std::string& text) {
-    auto it = transitions_.find(text);
-    if (it != transitions_.end()) return it->second;
+    if (const petri::TransitionId t = stg_.net().find_transition(text);
+        t != petri::kNoTransition)
+        return t;
 
     const std::string base = strip_instance(text);
     petri::TransitionId t;
@@ -65,26 +66,22 @@ petri::TransitionId StgBuilder::transition_for(const std::string& text) {
                              parsed.signal_name + "'");
         t = stg_.add_transition(text, Label{z, parsed.polarity});
     }
-    transitions_.emplace(text, t);
     return t;
 }
 
 StgBuilder::Node StgBuilder::resolve(const std::string& text) {
     STGCC_REQUIRE(!text.empty());
-    if (auto it = places_.find(text); it != places_.end())
-        return Node{NodeKind::Place, it->second};
+    if (const petri::PlaceId p = stg_.net().find_place(text);
+        p != petri::kNoPlace)
+        return Node{NodeKind::Place, p};
     return Node{NodeKind::Transition, transition_for(text)};
 }
 
 petri::PlaceId StgBuilder::implicit_place(const std::string& from,
-                                          const std::string& to, bool create) {
+                                          const std::string& to) {
     const std::string name = "<" + from + "," + to + ">";
-    if (auto it = places_.find(name); it != places_.end()) return it->second;
-    if (!create)
-        throw ModelError("no implicit place " + name);
-    const petri::PlaceId p = stg_.add_place(name);
-    places_.emplace(name, p);
-    init_tokens_.resize(p + 1, 0);
+    const petri::PlaceId p = stg_.net().find_place(name);
+    if (p == petri::kNoPlace) throw ModelError("no implicit place " + name);
     return p;
 }
 
@@ -106,10 +103,11 @@ StgBuilder& StgBuilder::arc(const std::string& from, const std::string& to) {
         // A repeated transition->transition arc re-creates the same implicit
         // place: reject it as a duplicate rather than tripping the net's
         // arc-uniqueness contract.
-        const std::string name = "<" + from + "," + to + ">";
-        if (places_.count(name))
+        std::string name = "<" + from + "," + to + ">";
+        if (stg_.net().find_place(name) != petri::kNoPlace)
             throw ModelError("duplicate arc: " + from + " -> " + to);
-        const petri::PlaceId p = implicit_place(from, to, /*create=*/true);
+        const petri::PlaceId p = stg_.add_place(std::move(name));
+        init_tokens_.resize(p + 1, 0);
         stg_.add_arc_tp(a.id, p);
         stg_.add_arc_pt(p, b.id);
     }
@@ -123,7 +121,7 @@ StgBuilder& StgBuilder::chain(const std::vector<std::string>& nodes) {
 
 StgBuilder& StgBuilder::token_between(const std::string& from, const std::string& to) {
     STGCC_REQUIRE(!built_);
-    const petri::PlaceId p = implicit_place(from, to, /*create=*/false);
+    const petri::PlaceId p = implicit_place(from, to);
     init_tokens_.resize(std::max<std::size_t>(init_tokens_.size(), p + 1), 0);
     ++init_tokens_[p];
     return *this;
@@ -131,10 +129,10 @@ StgBuilder& StgBuilder::token_between(const std::string& from, const std::string
 
 StgBuilder& StgBuilder::tokens(const std::string& place_name, std::uint32_t count) {
     STGCC_REQUIRE(!built_);
-    auto it = places_.find(place_name);
-    if (it == places_.end()) throw ModelError("unknown place: " + place_name);
-    init_tokens_.resize(std::max<std::size_t>(init_tokens_.size(), it->second + 1), 0);
-    init_tokens_[it->second] = count;
+    const petri::PlaceId p = stg_.net().find_place(place_name);
+    if (p == petri::kNoPlace) throw ModelError("unknown place: " + place_name);
+    init_tokens_.resize(std::max<std::size_t>(init_tokens_.size(), p + 1), 0);
+    init_tokens_[p] = count;
     return *this;
 }
 

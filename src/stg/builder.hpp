@@ -64,12 +64,12 @@ private:
 
     Node resolve(const std::string& text);
     petri::TransitionId transition_for(const std::string& text);
-    petri::PlaceId implicit_place(const std::string& from, const std::string& to,
-                                  bool create);
+    /// The existing implicit place "<from,to>"; ModelError when absent.
+    petri::PlaceId implicit_place(const std::string& from, const std::string& to);
 
+    // Places and transitions are looked up by name in stg_'s own net
+    // indexes; the builder keeps no second copy of either.
     Stg stg_;
-    std::unordered_map<std::string, petri::PlaceId> places_;
-    std::unordered_map<std::string, petri::TransitionId> transitions_;
     std::unordered_map<std::string, bool> dummies_;
     std::vector<std::uint32_t> init_tokens_;  // per place
     bool built_ = false;

@@ -1,5 +1,7 @@
 #include <algorithm>
-#include <sstream>
+#include <cstdint>
+#include <span>
+#include <string_view>
 
 #include "cache/result_cache.hpp"
 #include "obs/metrics.hpp"
@@ -83,49 +85,121 @@ ReduceResult run_passes(std::shared_ptr<const Stg> input,
     return result;
 }
 
+namespace {
+
+/// Lines rendered back to back into one buffer, emitted in byte order:
+/// the canonical form sorts whole lines, so sorting views of the rendered
+/// lines reproduces it exactly without one string per line.
+class SortedLines {
+public:
+    std::string& buf() { return buf_; }
+    void end_line() { ends_.push_back(buf_.size()); }
+
+    void append_sorted(std::string& out) const {
+        // Each line carries its first 8 bytes packed big-endian (zero
+        // padded): integer order on the heads is byte order on those
+        // bytes, so most comparisons never reach the text.
+        struct Line {
+            std::uint64_t head;
+            std::string_view text;
+            bool operator<(const Line& o) const {
+                return head != o.head ? head < o.head : text < o.text;
+            }
+        };
+        std::vector<Line> lines;
+        lines.reserve(ends_.size());
+        std::size_t begin = 0;
+        for (const std::size_t end : ends_) {
+            const std::string_view text(buf_.data() + begin, end - begin);
+            std::uint64_t head = 0;
+            for (std::size_t i = 0; i < 8; ++i)
+                head = head << 8 |
+                       (i < text.size() ? static_cast<unsigned char>(text[i])
+                                        : 0u);
+            lines.push_back(Line{head, text});
+            begin = end;
+        }
+        std::sort(lines.begin(), lines.end());
+        for (const Line& l : lines) {
+            out += l.text;
+            out += '\n';
+        }
+    }
+
+private:
+    std::string buf_;
+    std::vector<std::size_t> ends_;
+};
+
+}  // namespace
+
 std::string canonical_text(const Stg& stg) {
     // Deterministic, name-complete rendering: section per element kind,
     // arc lists sorted by endpoint name.  Element *order* in the file does
     // not matter to structural identity, so names are sorted too -- two
     // nets built in different insertion orders canonicalize identically.
+    // The bytes are the on-disk "stgcore" cache key (docs/CACHING.md):
+    // tests/reduce_test.cpp pins them, and any change needs a new
+    // "stgcanon/N" header.
     const petri::Net& net = stg.net();
-    std::ostringstream out;
-    out << "stgcanon/1\n";
+    const petri::Marking& m0 = stg.system().initial_marking();
+    const std::size_t num_places = net.num_places();
 
+    SortedLines places;
+    for (petri::PlaceId p = 0; p < num_places; ++p) {
+        places.buf() += net.place_name(p);
+        places.buf() += ' ';
+        places.buf() += std::to_string(m0[p]);
+        places.end_line();
+    }
+
+    SortedLines transitions;
+    std::vector<petri::PlaceId> arcs;
+    const auto append_arcs = [&](std::span<const petri::PlaceId> list) {
+        // Sorted by place name; most lists hold a single place.
+        arcs.assign(list.begin(), list.end());
+        if (arcs.size() > 1)
+            std::sort(arcs.begin(), arcs.end(),
+                      [&](petri::PlaceId a, petri::PlaceId b) {
+                          return net.place_name(a) < net.place_name(b);
+                      });
+        for (const petri::PlaceId p : arcs) {
+            transitions.buf() += ' ';
+            transitions.buf() += net.place_name(p);
+        }
+    };
+    for (petri::TransitionId t = 0; t < net.num_transitions(); ++t) {
+        std::string& line = transitions.buf();
+        line += net.transition_name(t);
+        line += ' ';
+        line += stg.label_text(t);
+        line += " <-";
+        append_arcs(net.pre(t));
+        line += " ->";
+        append_arcs(net.post(t));
+        transitions.end_line();
+    }
+
+    std::string out;
+    out.reserve(places.buf().size() + transitions.buf().size() +
+                num_places + net.num_transitions() + 64 +
+                16 * stg.num_signals());
+    out += "stgcanon/1\n";
     // Signal *order* is significant (codes and Out sets index by SignalId),
     // so signal lines are not sorted; place/transition order is not -- the
     // report codec addresses those by name.
-    out << "signals " << stg.num_signals() << "\n";
-    for (SignalId z = 0; z < stg.num_signals(); ++z)
-        out << stg.signal_name(z) << " "
-            << std::to_string(static_cast<int>(stg.signal_kind(z))) << "\n";
-
-    std::vector<std::string> lines;
-    for (petri::PlaceId p = 0; p < net.num_places(); ++p)
-        lines.push_back(net.place_name(p) + " " +
-                        std::to_string(stg.system().initial_marking()[p]));
-    std::sort(lines.begin(), lines.end());
-    out << "places " << lines.size() << "\n";
-    for (const std::string& l : lines) out << l << "\n";
-
-    lines.clear();
-    for (petri::TransitionId t = 0; t < net.num_transitions(); ++t) {
-        std::string line = net.transition_name(t) + " " + stg.label_text(t);
-        std::vector<std::string> pre, post;
-        for (petri::PlaceId p : net.pre(t)) pre.push_back(net.place_name(p));
-        for (petri::PlaceId p : net.post(t)) post.push_back(net.place_name(p));
-        std::sort(pre.begin(), pre.end());
-        std::sort(post.begin(), post.end());
-        line += " <-";
-        for (const std::string& p : pre) line += " " + p;
-        line += " ->";
-        for (const std::string& p : post) line += " " + p;
-        lines.push_back(std::move(line));
+    out += "signals " + std::to_string(stg.num_signals()) + "\n";
+    for (SignalId z = 0; z < stg.num_signals(); ++z) {
+        out += stg.signal_name(z);
+        out += ' ';
+        out += std::to_string(static_cast<int>(stg.signal_kind(z)));
+        out += '\n';
     }
-    std::sort(lines.begin(), lines.end());
-    out << "transitions " << lines.size() << "\n";
-    for (const std::string& l : lines) out << l << "\n";
-    return out.str();
+    out += "places " + std::to_string(num_places) + "\n";
+    places.append_sorted(out);
+    out += "transitions " + std::to_string(net.num_transitions()) + "\n";
+    transitions.append_sorted(out);
+    return out;
 }
 
 std::uint64_t semantic_hash(const Stg& stg) {

@@ -1,6 +1,9 @@
 #include <algorithm>
+#include <compare>
+#include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "stg/contraction.hpp"
 #include "stg/reduce/reduce.hpp"
@@ -131,24 +134,34 @@ public:
         return place_removal_pass(std::move(input), [](const Stg& s) {
             const petri::Net& net = s.net();
             const petri::Marking& m0 = s.system().initial_marking();
-            std::vector<bool> kill(net.num_places(), false);
-            // Keep the lowest-id member of each duplicate class.  A place
-            // duplicates an earlier one when preset, postset and initial
+            const std::size_t n = net.num_places();
+            // Keep the lowest-id member of each (M0(p), •p, p•) class.  A
+            // place duplicates another when preset, postset and initial
             // marking all agree: its token count then tracks the keeper's
             // in every reachable marking, so removal neither merges
-            // distinct markings (USC-safe) nor changes enabling.
-            for (petri::PlaceId p = 1; p < net.num_places(); ++p) {
-                const auto p_pre = sorted(net.pre_of_place(p));
-                const auto p_post = sorted(net.post_of_place(p));
-                for (petri::PlaceId q = 0; q < p; ++q) {
-                    if (kill[q] || m0[p] != m0[q]) continue;
-                    if (p_pre == sorted(net.pre_of_place(q)) &&
-                        p_post == sorted(net.post_of_place(q))) {
-                        kill[p] = true;
-                        break;
-                    }
-                }
-            }
+            // distinct markings (USC-safe) nor changes enabling.  One sort
+            // of the place ids by (key, id) puts each class in a run whose
+            // first member is its lowest id: O(P log P * deg).
+            struct Key {
+                std::uint32_t tokens;
+                std::vector<petri::TransitionId> pre, post;
+                auto operator<=>(const Key&) const = default;
+            };
+            std::vector<Key> keys;
+            keys.reserve(n);
+            for (petri::PlaceId p = 0; p < n; ++p)
+                keys.push_back(Key{m0[p], sorted(net.pre_of_place(p)),
+                                   sorted(net.post_of_place(p))});
+            std::vector<petri::PlaceId> order(n);
+            for (petri::PlaceId p = 0; p < n; ++p) order[p] = p;
+            std::sort(order.begin(), order.end(),
+                      [&](petri::PlaceId a, petri::PlaceId b) {
+                          const auto c = keys[a] <=> keys[b];
+                          return c != 0 ? c < 0 : a < b;
+                      });
+            std::vector<bool> kill(n, false);
+            for (std::size_t i = 1; i < n; ++i)
+                kill[order[i]] = keys[order[i]] == keys[order[i - 1]];
             return kill;
         });
     }

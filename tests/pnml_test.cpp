@@ -88,5 +88,45 @@ TEST(Pnml, Errors) {
     EXPECT_THROW(load_pnml_file("/nonexistent.pnml"), ModelError);
 }
 
+/// One marked place p feeding transition t through an arc whose
+/// inscription is `weight`: the ROADMAP's weight-2 / 1-token example.
+std::string weighted_net(const std::string& weight) {
+    return R"(<pnml><net id="n" type="ptnet"><page id="pg">
+  <place id="p"><initialMarking><text>1</text></initialMarking></place>
+  <place id="q"/>
+  <transition id="t"/>
+  <arc id="w" source="p" target="t"><inscription><text>)" +
+           weight + R"(</text></inscription></arc>
+  <arc id="a2" source="t" target="q"/>
+</page></net></pnml>)";
+}
+
+TEST(Pnml, RejectsWeightedArcNamingIt) {
+    // Read as weight 1, this net would fire t once (2 states, deadlock
+    // after t); with weight 2 the initial marking is already dead.  An
+    // ordinary net cannot say that, so the parser refuses the model.
+    try {
+        (void)parse_pnml_string(weighted_net("2"));
+        FAIL() << "weight-2 arc accepted";
+    } catch (const ModelError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("arc 'w' (p -> t)"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("weight '2'"), std::string::npos) << msg;
+    }
+    EXPECT_THROW(parse_pnml_string(weighted_net("0")), ModelError);
+    EXPECT_THROW(parse_pnml_string(weighted_net("x")), ModelError);
+    EXPECT_THROW(parse_pnml_string(weighted_net("")), ModelError);
+    EXPECT_THROW(parse_pnml_string(weighted_net("99999999999999999999999")),
+                 ModelError);
+}
+
+TEST(Pnml, AcceptsExplicitWeightOne) {
+    for (const char* w : {"1", " 1 ", "01"}) {
+        const NetSystem sys = parse_pnml_string(weighted_net(w));
+        EXPECT_EQ(sys.net().num_arcs(), 2u) << w;
+        EXPECT_EQ(ReachabilityGraph(sys).num_states(), 2u) << w;
+    }
+}
+
 }  // namespace
 }  // namespace stgcc::petri

@@ -10,14 +10,19 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <algorithm>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "cache/result_cache.hpp"
 #include "core/report_codec.hpp"
 #include "core/verifier.hpp"
 #include "petri/pnml.hpp"
+#include "stg/astg.hpp"
+#include "stg/benchmarks.hpp"
 #include "stg/builder.hpp"
 #include "stg/reduce/reduce.hpp"
 #include "stg/state_checks.hpp"
@@ -277,6 +282,209 @@ TEST(SemanticHash, SignalOrderIsSignificant) {
     b2.token_between("b-", "a+");
     EXPECT_NE(stg::reduce::semantic_hash(b1.build()),
               stg::reduce::semantic_hash(b2.build()));
+}
+
+// The canonical text is the on-disk "stgcore" cache key (docs/CACHING.md),
+// so its bytes are a pinned format: these hashes were produced by the
+// original string-per-line renderer.  A change here orphans every stored
+// semantic cache entry -- bump the "stgcanon/N" header instead.
+const char* kPinnedModel = R"(.model pinned
+.inputs a b
+.outputs x y
+.dummy eps tau
+.graph
+a+ eps
+eps x+
+x+ b+
+b+ tau
+tau y+
+y+ a-
+a- x-
+x- b-
+b- y-
+y- a+ dup
+dup a+
+a+ cst
+cst a+
+.marking { <y-,a+> dup cst }
+.end
+)";
+
+TEST(SemanticHash, PinnedAcrossRenderers) {
+    struct Pin {
+        std::string model;  // models/<name>.g, or "" for kPinnedModel
+        std::uint64_t raw, reduced;
+    };
+    // The corpus models carry no redundancy, so reduce=all leaves their
+    // hash alone; kPinnedModel has two dummies (contracted into product
+    // places), a duplicate place and a constant self-loop place.
+    const std::vector<Pin> pins = {
+        {"vme", 0xbc53761e2c169ccdull, 0xbc53761e2c169ccdull},
+        {"envelope2", 0x37c8bdb8f4e329cfull, 0x37c8bdb8f4e329cfull},
+        {"dup_mod_c", 0x80a130853a02d8b8ull, 0x80a130853a02d8b8ull},
+        {"cf_asym_b_csc", 0x5951dd985dc78830ull, 0x5951dd985dc78830ull},
+        {"", 0xf5e2972eece84c09ull, 0xca424efb27c368d1ull},
+    };
+    for (const Pin& pin : pins) {
+        const auto input = std::make_shared<const stg::Stg>(
+            pin.model.empty()
+                ? stg::parse_astg_string(kPinnedModel)
+                : stg::load_astg_file(std::string(STGCC_MODELS_DIR) + "/" +
+                                      pin.model + ".g"));
+        const auto red = stg::reduce::run_passes(input, Options::all());
+        EXPECT_EQ(stg::reduce::semantic_hash(*input), pin.raw) << pin.model;
+        EXPECT_EQ(stg::reduce::semantic_hash(*red.stg), pin.reduced)
+            << pin.model;
+    }
+}
+
+TEST(SemanticHash, PinnedCanonicalTextLayout) {
+    const auto input = std::make_shared<const stg::Stg>(
+        stg::parse_astg_string(kPinnedModel));
+    const auto red = stg::reduce::run_passes(input, Options::all());
+    EXPECT_EQ(red.summary.places_removed(), 4u);
+    EXPECT_EQ(red.summary.transitions_removed(), 2u);
+    EXPECT_EQ(stg::reduce::canonical_text(*red.stg),
+              "stgcanon/1\n"
+              "signals 4\n"
+              "a 0\nb 0\nx 1\ny 1\n"
+              "places 8\n"
+              "(<a+,eps>*<eps,x+>) 0\n"
+              "(<b+,tau>*<tau,y+>) 0\n"
+              "<a-,x-> 0\n<b-,y-> 0\n<x+,b+> 0\n<x-,b-> 0\n<y+,a-> 0\n"
+              "dup 1\n"
+              "transitions 8\n"
+              "a+ a+ <- dup -> (<a+,eps>*<eps,x+>)\n"
+              "a- a- <- <y+,a-> -> <a-,x->\n"
+              "b+ b+ <- <x+,b+> -> (<b+,tau>*<tau,y+>)\n"
+              "b- b- <- <x-,b-> -> <b-,y->\n"
+              "x+ x+ <- (<a+,eps>*<eps,x+>) -> <x+,b+>\n"
+              "x- x- <- <a-,x-> -> <x-,b->\n"
+              "y+ y+ <- (<b+,tau>*<tau,y+>) -> <y+,a->\n"
+              "y- y- <- <b-,y-> -> dup\n");
+}
+
+// --- dup-place: grouping rule vs the original pairwise scan ----------------
+
+/// The original O(P^2) dup-place rule, kept verbatim as the reference: a
+/// place dies when some earlier surviving place has the same initial
+/// marking, preset and postset.
+std::vector<bool> pairwise_dup_kill(const stg::Stg& s) {
+    const petri::Net& net = s.net();
+    const petri::Marking& m0 = s.system().initial_marking();
+    const auto sorted = [](auto span) {
+        std::vector<petri::TransitionId> v(span.begin(), span.end());
+        std::sort(v.begin(), v.end());
+        return v;
+    };
+    std::vector<bool> kill(net.num_places(), false);
+    for (petri::PlaceId p = 1; p < net.num_places(); ++p) {
+        const auto p_pre = sorted(net.pre_of_place(p));
+        const auto p_post = sorted(net.post_of_place(p));
+        for (petri::PlaceId q = 0; q < p; ++q) {
+            if (kill[q] || m0[p] != m0[q]) continue;
+            if (p_pre == sorted(net.pre_of_place(q)) &&
+                p_post == sorted(net.post_of_place(q))) {
+                kill[p] = true;
+                break;
+            }
+        }
+    }
+    return kill;
+}
+
+/// What one application of the dup-place pass removes, as an input-id
+/// mask (the pass keeps place names, so absence by name is removal).
+std::vector<bool> pass_dup_kill(const stg::Stg& s) {
+    const auto input = std::make_shared<const stg::Stg>(s);
+    const auto r = stg::reduce::find_pass("dup-place")->apply(input);
+    std::vector<bool> kill(s.net().num_places(), false);
+    if (!r.changed) return kill;
+    for (petri::PlaceId p = 0; p < s.net().num_places(); ++p)
+        kill[p] = r.stg.net().find_place(s.net().place_name(p)) ==
+                  petri::kNoPlace;
+    return kill;
+}
+
+/// `base` with duplicate classes injected and every place re-added in a
+/// seeded shuffled order, so class members get non-contiguous ids and the
+/// original is not always the lowest.  Per original place: up to three
+/// exact copies, and sometimes a pair of siblings that differ from it only
+/// in M0 (a class of their own).
+stg::Stg with_injected_duplicates(const stg::Stg& base, unsigned seed) {
+    std::mt19937 rng(seed);
+    const petri::Net& net = base.net();
+    struct Spec {
+        std::string name;
+        petri::PlaceId source;
+        std::uint32_t tokens;
+    };
+    std::vector<Spec> specs;
+    for (petri::PlaceId p = 0; p < net.num_places(); ++p) {
+        const std::uint32_t m = base.system().initial_marking()[p];
+        const std::string& name = net.place_name(p);
+        specs.push_back({name, p, m});
+        const unsigned copies = rng() % 4;  // 0..3 exact duplicates
+        for (unsigned k = 0; k < copies; ++k)
+            specs.push_back({name + "_dup" + std::to_string(k), p, m});
+        if (rng() % 3 == 0)
+            for (unsigned k = 0; k < 2; ++k)
+                specs.push_back(
+                    {name + "_sib" + std::to_string(k), p, m + 1});
+    }
+    std::shuffle(specs.begin(), specs.end(), rng);
+
+    stg::Stg out;
+    out.set_name(base.name());
+    for (stg::SignalId z = 0; z < base.num_signals(); ++z)
+        out.add_signal(base.signal_name(z), base.signal_kind(z));
+    std::vector<petri::PlaceId> ids;
+    for (const Spec& spec : specs) ids.push_back(out.add_place(spec.name));
+    for (petri::TransitionId t = 0; t < net.num_transitions(); ++t) {
+        if (base.is_dummy(t))
+            out.add_dummy_transition(net.transition_name(t));
+        else
+            out.add_transition(net.transition_name(t), base.label(t));
+    }
+    petri::Marking m0(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        for (petri::TransitionId t : net.pre_of_place(specs[i].source))
+            out.add_arc_tp(t, ids[i]);
+        for (petri::TransitionId t : net.post_of_place(specs[i].source))
+            out.add_arc_pt(ids[i], t);
+        m0.set(ids[i], specs[i].tokens);
+    }
+    out.set_initial_marking(std::move(m0));
+    return out;
+}
+
+TEST(DupPlaceDifferential, GroupingMatchesPairwiseRuleOnRandomNets) {
+    std::size_t killed = 0;
+    for (unsigned seed = 1; seed <= 40; ++seed) {
+        test::RandomStgConfig cfg;
+        cfg.machines = 1 + seed % 3;
+        cfg.places_per_machine = 6 + static_cast<int>(seed % 7);
+        cfg.dummy_probability = seed % 2 ? 0.3 : 0.0;
+        const stg::Stg net =
+            with_injected_duplicates(test::random_stg(seed, cfg), seed);
+        const auto want = pairwise_dup_kill(net);
+        ASSERT_EQ(pass_dup_kill(net), want) << "seed " << seed;
+        killed += static_cast<std::size_t>(
+            std::count(want.begin(), want.end(), true));
+    }
+    EXPECT_GT(killed, 100u);  // the injected classes were really found
+}
+
+TEST(DupPlaceDifferential, GroupingMatchesPairwiseRuleOnLargeFamilies) {
+    const std::vector<stg::Stg> nets = {
+        stg::bench::phase_envelope(256), stg::bench::duplex_channel(128, false)};
+    for (const stg::Stg& net : nets) {
+        EXPECT_EQ(pass_dup_kill(net), pairwise_dup_kill(net)) << net.name();
+        const stg::Stg dup = with_injected_duplicates(net, 7);
+        const auto want = pairwise_dup_kill(dup);
+        EXPECT_EQ(pass_dup_kill(dup), want) << dup.name();
+        EXPECT_GT(std::count(want.begin(), want.end(), true), 0) << dup.name();
+    }
 }
 
 // --- report codec -----------------------------------------------------------
@@ -651,6 +859,21 @@ TEST_F(ReduceCliTest, PnmlExtensionDispatchesToPetriChecks) {
     // The usage string documents the dispatch.
     const auto help = run_cli(std::string(STGCC_STGCHECK_BIN) + " --help");
     EXPECT_NE(help.output.find(".pnml"), std::string::npos);
+}
+
+TEST_F(ReduceCliTest, PnmlWeightedArcIsAModelError) {
+    // A weight-2 arc from a 1-token place: reading it as weight 1 would
+    // report a firing and a later deadlock instead of a dead initial
+    // marking, so stgcheck must stop with a model error (exit 2).
+    const std::string path = write("w.pnml", R"(<pnml><net id="n"><page id="g">
+<place id="p"><initialMarking><text>1</text></initialMarking></place>
+<place id="q"/><transition id="t"/>
+<arc id="w" source="p" target="t"><inscription><text>2</text></inscription></arc>
+<arc id="o" source="t" target="q"/>
+</page></net></pnml>)");
+    const auto r = run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("arc 'w'"), std::string::npos) << r.output;
 }
 
 TEST_F(ReduceCliTest, BatchAggregateCarriesReductionSummary) {

@@ -232,6 +232,55 @@ TEST(SchedPool, GroupStatsAttributeNestedTasksToTheClaimedGroup) {
     EXPECT_EQ(none.busy_ns, 0u);
 }
 
+TEST(SchedPool, StatsExactAfterEveryWaitUnderContention) {
+    // Loop wait -> stats with no quiescing in between.  Tasks are tiny, so
+    // the last one's completion signal and its tallies race as tightly as
+    // they can: stats() and group_stats() read straight after the wait
+    // must still count every task.  Two completion styles per round: a
+    // TaskGroup with nested fan-out (the stgbatch shape, one attribution
+    // group per round) and raw submits whose body bumps a done counter.
+    constexpr unsigned kRounds = 300;
+    constexpr unsigned kOuter = 6;
+    constexpr unsigned kInner = 3;
+    WorkStealingPool pool(4);
+    pool.configure_groups(kRounds);
+    std::uint64_t expected = 0;
+    for (unsigned round = 0; round < kRounds; ++round) {
+        TaskGroup outer(&pool);
+        for (unsigned i = 0; i < kOuter; ++i)
+            outer.run([&pool, round] {
+                set_current_group(round);
+                TaskGroup inner(&pool);
+                for (unsigned j = 0; j < kInner; ++j) inner.run([] {});
+                inner.wait();
+            });
+        outer.wait();
+        expected += kOuter * (1 + kInner);
+        const auto s = pool.stats();
+        ASSERT_EQ(s.executed, expected) << "round " << round;
+        ASSERT_EQ(pool.group_stats(round).tasks, kOuter * (1 + kInner))
+            << "round " << round;
+
+        std::atomic<unsigned> done{0};
+        std::atomic<std::uint64_t> delay_sum{0};
+        const std::uint64_t delay_before = pool.stats().queue_delay_ns;
+        for (unsigned i = 0; i < kOuter; ++i)
+            pool.submit([&] {
+                delay_sum.fetch_add(current_task_queue_delay_ns(),
+                                    std::memory_order_relaxed);
+                done.fetch_add(1, std::memory_order_release);
+            });
+        while (done.load(std::memory_order_acquire) < kOuter)
+            std::this_thread::yield();
+        expected += kOuter;
+        const auto r = pool.stats();
+        ASSERT_EQ(r.executed, expected) << "round " << round;
+        ASSERT_EQ(r.queue_delay_ns - delay_before, delay_sum.load())
+            << "round " << round;
+    }
+    EXPECT_EQ(pool.stats().submitted, expected);
+}
+
 TEST(SchedExecutor, SerialHasNoPool) {
     Executor ex(1);
     EXPECT_EQ(ex.jobs(), 1u);
