@@ -61,6 +61,26 @@ void PrefixArtifacts::build() {
         for (unf::ConditionId b : ev.postset) post_masks_.set(i, b);
     }
 
+    // Per-signal preset index for signal_enabled(): a counting sort of the
+    // labelled transitions by signal, ascending ids within a signal.
+    const stg::Stg& stg = *stg_;
+    const petri::Net& net = stg.net();
+    signal_begin_.assign(stg.num_signals() + 1, 0);
+    for (petri::TransitionId t = 0; t < net.num_transitions(); ++t)
+        if (!stg.is_dummy(t)) ++signal_begin_[stg.label(t).signal + 1];
+    for (std::size_t z = 0; z < stg.num_signals(); ++z)
+        signal_begin_[z + 1] += signal_begin_[z];
+    std::vector<std::uint32_t> by_signal(signal_begin_.back());
+    std::vector<std::uint32_t> cursor(signal_begin_.begin(), signal_begin_.end() - 1);
+    for (petri::TransitionId t = 0; t < net.num_transitions(); ++t)
+        if (!stg.is_dummy(t)) by_signal[cursor[stg.label(t).signal]++] = t;
+    enabling_.assign(1, 0);
+    preset_places_.clear();
+    for (const std::uint32_t t : by_signal) {
+        for (petri::PlaceId p : net.pre(t)) preset_places_.push_back(p);
+        enabling_.push_back(static_cast<std::uint32_t>(preset_places_.size()));
+    }
+
     obs::counter("cache.artifacts.built").add();
     obs::gauge("mem.arena_bytes")
         .set(static_cast<std::int64_t>(util::Arena::process_live_bytes()));
@@ -76,16 +96,37 @@ const core::CodingProblem& PrefixArtifacts::problem() const {
     return *problem_;
 }
 
-petri::Marking PrefixArtifacts::marking_of_dense(const BitVec& dense) const {
+void PrefixArtifacts::places_of_dense(BitSpan dense, BitVec& cut,
+                                      BitVec& places) const {
     STGCC_ASSERT(problem_ != nullptr);
-    BitVec cut = min_mask_;
+    // cut = (Min(ON) | union of postsets) \ union of presets.
+    cut = min_mask_;
     dense.for_each([&](std::size_t i) { cut |= post_masks_.row(i); });
     dense.for_each([&](std::size_t i) { cut.subtract(pre_masks_.row(i)); });
-    petri::Marking m(prefix_.system().net().num_places());
+    places.resize(prefix_.system().net().num_places());
+    places.clear();
     cut.for_each([&](std::size_t b) {
-        m.add(prefix_.condition(static_cast<unf::ConditionId>(b)).place);
+        places.set(prefix_.condition(static_cast<unf::ConditionId>(b)).place);
     });
+}
+
+petri::Marking PrefixArtifacts::marking_of_dense(const BitVec& dense) const {
+    BitVec cut, places;
+    places_of_dense(dense, cut, places);
+    petri::Marking m(places.size());
+    places.for_each([&](std::size_t p) { m.add(p); });
     return m;
+}
+
+bool PrefixArtifacts::signal_enabled(BitSpan places, stg::SignalId z) const {
+    STGCC_ASSERT(problem_ != nullptr);
+    for (std::uint32_t k = signal_begin_[z]; k < signal_begin_[z + 1]; ++k) {
+        bool enabled = true;
+        for (std::uint32_t i = enabling_[k]; i < enabling_[k + 1] && enabled; ++i)
+            enabled = places.test(preset_places_[i]);
+        if (enabled) return true;
+    }
+    return false;
 }
 
 }  // namespace stgcc::cache

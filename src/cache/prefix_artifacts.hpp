@@ -83,6 +83,22 @@ public:
     /// Only valid when consistent().
     [[nodiscard]] petri::Marking marking_of_dense(const BitVec& dense) const;
 
+    /// The same marking as a set of places, written into caller-owned
+    /// buffers: `cut` receives the cut over conditions and `places` the
+    /// places of its conditions.  The net is 1-safe, so the place set is the
+    /// exact marking -- two dense configurations reach the same marking iff
+    /// their place sets are equal.  Allocation-free once the buffers are
+    /// sized (leaf predicates reuse one pair per solve).  Only valid when
+    /// consistent().
+    void places_of_dense(BitSpan dense, BitVec& cut, BitVec& places) const;
+
+    /// True when some transition of signal z is enabled at the marking
+    /// whose place set is `places` (from places_of_dense): tests the preset
+    /// places of z's transitions only, not every transition of the net.
+    /// Agrees with stg().signal_enabled() on that marking.  Only valid when
+    /// consistent().
+    [[nodiscard]] bool signal_enabled(BitSpan places, stg::SignalId z) const;
+
     /// Tier-2 learned-clause store shared by all solver instances over this
     /// problem.  Mutable through const artifacts: recording a proved cut
     /// does not change any observable verdict (see clause_store.hpp).
@@ -104,6 +120,10 @@ private:
     std::unique_ptr<core::CodingProblem> problem_;  ///< null when inconsistent
     BitVec min_mask_;                        ///< Min(ON), width num_conditions
     util::BitMatrix pre_masks_, post_masks_;  ///< q x num_conditions, in arena_
+    /// signal_enabled() index, CSR: the transitions of signal z are
+    /// enabling_[signal_begin_[z] .. signal_begin_[z+1]), and the preset of
+    /// the k-th of them is preset_places_[enabling_[k] .. enabling_[k+1]).
+    std::vector<std::uint32_t> signal_begin_, enabling_, preset_places_;
     mutable std::unique_ptr<ClauseStore> clauses_;
 };
 

@@ -47,11 +47,12 @@ stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
     obs::Span span("solve.usc");
     const SearchOptions local = with_clause_store(opts);
     CompatSolver solver(*problem_, local);
+    LeafPredicates leaf(*artifacts_);
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
             // USC separating predicate: the markings must differ.
-            return !(artifacts_->marking_of_dense(ca) ==
-                     artifacts_->marking_of_dense(cb));
+            leaf.load(ca, cb);
+            return leaf.markings_differ();
         });
     stg::CodingCheckResult result;
     result.stats = outcome.stats;
@@ -78,13 +79,14 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts) const {
         return {};
     }
     CompatSolver solver(*problem_, local);
+    LeafPredicates leaf(*artifacts_);
+    const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
             // CSC separating predicate: enabled-output sets must differ
             // (equal codes with different Out sets imply distinct markings).
-            const petri::Marking ma = artifacts_->marking_of_dense(ca);
-            const petri::Marking mb = artifacts_->marking_of_dense(cb);
-            return !(stg_->out_signals(ma) == stg_->out_signals(mb));
+            leaf.load(ca, cb);
+            return leaf.out_sets_differ(outputs);
         });
     stg::CodingCheckResult result;
     result.stats = outcome.stats;
@@ -128,15 +130,14 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
             local.cancel =
                 sched::CancellationToken::combine(shared.cancel, token);
             CompatSolver solver(*problem_, local);
+            LeafPredicates leaf(*artifacts_);  // this task's own scratch
             auto outcome = solver.solve(
                 CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
                     // Per-signal CSC predicate: z enabled at exactly one of
                     // the two markings (a CSC conflict exists iff some
                     // circuit-driven signal has one).
-                    const petri::Marking ma = artifacts_->marking_of_dense(ca);
-                    const petri::Marking mb = artifacts_->marking_of_dense(cb);
-                    return stg_->signal_enabled(ma, z) !=
-                           stg_->signal_enabled(mb, z);
+                    leaf.load(ca, cb);
+                    return leaf.enabled_differs(z);
                 });
             {
                 std::lock_guard<std::mutex> lock(stats_mu);
@@ -194,19 +195,19 @@ UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
     // or with Code(x') >= Code(x'') (lo = x'').  Each flag keeps the
     // *first* violating pair in enumeration order, which is deterministic.
     CompatSolver solver(*problem_, with_clause_store(opts));
+    LeafPredicates leaf(*artifacts_);
+    const int lo = rel == CodeRelation::LessEq ? 0 : 1;
     auto outcome = solver.solve(rel, [&](const BitVec& ca, const BitVec& cb) {
-        const BitVec& lo_cfg = rel == CodeRelation::LessEq ? ca : cb;
-        const BitVec& hi_cfg = rel == CodeRelation::LessEq ? cb : ca;
-        const petri::Marking mlo = artifacts_->marking_of_dense(lo_cfg);
-        const petri::Marking mhi = artifacts_->marking_of_dense(hi_cfg);
-        const stg::Code clo = problem_->code_of(lo_cfg);
-        const stg::Code chi = problem_->code_of(hi_cfg);
+        const BitVec& lo_cfg = lo == 0 ? ca : cb;
+        const BitVec& hi_cfg = lo == 0 ? cb : ca;
+        leaf.load(ca, cb);
+        leaf.load_codes(ca, cb);
         for (std::size_t i = 0; i < outputs.size(); ++i) {
             stg::SignalNormalcy& sn = pass.per_signal[i];
             const stg::SignalId z = outputs[i];
             if (sn.p_normal || sn.n_normal) {
-                const bool nxt_lo = stg_->nxt(mlo, clo, z);
-                const bool nxt_hi = stg_->nxt(mhi, chi, z);
+                const bool nxt_lo = leaf.nxt(lo, z);
+                const bool nxt_hi = leaf.nxt(1 - lo, z);
                 if (sn.p_normal && nxt_lo && !nxt_hi) {
                     sn.p_normal = false;
                     sn.p_violation = make_nw(z, lo_cfg, hi_cfg);

@@ -23,6 +23,57 @@
 
 namespace stgcc::core {
 
+/// The separating predicates of the four leaf tests (USC, serial CSC,
+/// per-signal CSC, normalcy) over one artifact bundle, evaluated without
+/// allocating: each solve owns one LeafPredicates, whose cut, place-set and
+/// code buffers every leaf of that solve reuses.  Not thread-safe; the
+/// artifacts it reads are, so concurrent solves each own their own.
+class LeafPredicates {
+public:
+    explicit LeafPredicates(const cache::PrefixArtifacts& artifacts)
+        : artifacts_(&artifacts) {}
+
+    /// Load the place sets (exact markings) of both configurations; every
+    /// predicate below reads the last loaded pair.
+    void load(const BitVec& ca, const BitVec& cb) {
+        artifacts_->places_of_dense(ca, cut_, places_[0]);
+        artifacts_->places_of_dense(cb, cut_, places_[1]);
+    }
+    /// Also load both codes (normalcy's Nxt needs them).
+    void load_codes(const BitVec& ca, const BitVec& cb) {
+        artifacts_->problem().code_of(ca, codes_[0]);
+        artifacts_->problem().code_of(cb, codes_[1]);
+    }
+
+    /// USC: the markings differ.
+    [[nodiscard]] bool markings_differ() const {
+        return !(places_[0] == places_[1]);
+    }
+    /// Per-signal CSC: z is enabled at exactly one of the two markings.
+    [[nodiscard]] bool enabled_differs(stg::SignalId z) const {
+        return artifacts_->signal_enabled(places_[0], z) !=
+               artifacts_->signal_enabled(places_[1], z);
+    }
+    /// CSC: the enabled-output sets differ, over the circuit-driven
+    /// `outputs`.
+    [[nodiscard]] bool out_sets_differ(
+        const std::vector<stg::SignalId>& outputs) const {
+        for (const stg::SignalId z : outputs)
+            if (enabled_differs(z)) return true;
+        return false;
+    }
+    /// Nxt_z at the marking of side `side` (after load_codes()).
+    [[nodiscard]] bool nxt(int side, stg::SignalId z) const {
+        const bool value = codes_[side].test(z);
+        return artifacts_->signal_enabled(places_[side], z) ? !value : value;
+    }
+
+private:
+    const cache::PrefixArtifacts* artifacts_;
+    BitVec cut_, places_[2];
+    stg::Code codes_[2];
+};
+
 class UnfoldingChecker {
 public:
     /// Unfold the STG and prepare the coding problem.  Throws ModelError on

@@ -95,11 +95,16 @@ BitVec CodingProblem::to_event_set(const BitVec& dense) const {
 }
 
 stg::Code CodingProblem::code_of(const BitVec& dense) const {
-    stg::Code code = initial_code_;
-    dense.for_each([&](std::size_t i) {
-        code.assign_bit(signal_[i], !code.test(signal_[i]));
-    });
+    stg::Code code;
+    code_of(dense, code);
     return code;
+}
+
+void CodingProblem::code_of(BitSpan dense, stg::Code& out) const {
+    out = initial_code_;
+    dense.for_each([&](std::size_t i) {
+        out.assign_bit(signal_[i], !out.test(signal_[i]));
+    });
 }
 
 }  // namespace stgcc::core

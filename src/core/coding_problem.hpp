@@ -91,6 +91,9 @@ public:
 
     /// Code of the marking reached by a dense configuration: v0 + change vector.
     [[nodiscard]] stg::Code code_of(const BitVec& dense) const;
+    /// Same, written into `out` (reuses its storage: no allocation once
+    /// sized).
+    void code_of(BitSpan dense, stg::Code& out) const;
 
     // --- shared solver template (tier-1 artifact cache) ---------------------
     // Every CompatSolver instance over this problem starts from the same

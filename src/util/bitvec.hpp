@@ -263,6 +263,11 @@ public:
         return BitSpan(words_.data(), size_);
     }
 
+    /// Raw word storage for word-parallel readers and writers (the
+    /// CompatSolver kernel).  Writers must keep bits past size() zero.
+    [[nodiscard]] Word* data() noexcept { return words_.data(); }
+    [[nodiscard]] const Word* data() const noexcept { return words_.data(); }
+
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
     [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
