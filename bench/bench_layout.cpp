@@ -5,18 +5,12 @@
 //    nightly gate fails when bytes/event regresses more than 10% against
 //    the committed BENCH_layout.json baseline -- the number the CSR/arena
 //    refactor exists to keep small.
-//  * workspace_pool -- a cold full verification (empty pool, every solver
-//    allocates its workspace) against a warm re-run on the same thread
-//    (workspaces come back off the per-worker free lists), together with
-//    the `sched.workspace_reuse` counter delta.  Verdicts are asserted
-//    identical while measuring.
 //
 // Writes BENCH_layout.json.
 #include <cstdio>
 #include <string>
 
 #include "bench_util.hpp"
-#include "core/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "stg/benchmarks.hpp"
 #include "unfolding/unfolder.hpp"
@@ -55,44 +49,6 @@ int main() {
                            .set("arena_bytes", frozen.arena_bytes())
                            .set("bytes_per_event", bytes_per_event)
                            .set("freeze_seconds", freeze_seconds));
-    }
-    std::printf("\n");
-
-    // --- pooled solver workspaces: cold vs warm -------------------------
-    std::printf("Pooled solver workspaces (cold pool vs warm re-run)\n");
-    benchutil::rule(72);
-    std::printf("  %-24s %10s %10s %8s %8s\n", "model", "cold", "warm",
-                "speedup", "reuse");
-    for (const auto& named : suite) {
-        Stopwatch cold_timer;
-        const auto cold_report = core::verify_stg(named.stg, {});
-        const double cold_seconds = cold_timer.seconds();
-
-        const std::uint64_t reuse_before =
-            obs::counter("sched.workspace_reuse").value();
-        Stopwatch warm_timer;
-        const auto warm_report = core::verify_stg(named.stg, {});
-        const double warm_seconds = warm_timer.seconds();
-        const std::uint64_t reuse_delta =
-            obs::counter("sched.workspace_reuse").value() - reuse_before;
-
-        const bool same = cold_report.usc.holds == warm_report.usc.holds &&
-                          cold_report.csc.holds == warm_report.csc.holds &&
-                          cold_report.consistent == warm_report.consistent;
-        const double speedup =
-            warm_seconds > 0 ? cold_seconds / warm_seconds : 0.0;
-        std::printf("  %-24s %10s %10s %7.2fx %8llu%s\n", named.name.c_str(),
-                    benchutil::fmt_time(cold_seconds).c_str(),
-                    benchutil::fmt_time(warm_seconds).c_str(), speedup,
-                    static_cast<unsigned long long>(reuse_delta),
-                    same ? "" : "  VERDICT MISMATCH");
-        report.add_row(obs::Json::object()
-                           .set("benchmark", "workspace_pool")
-                           .set("model", named.name)
-                           .set("cold_seconds", cold_seconds)
-                           .set("warm_seconds", warm_seconds)
-                           .set("workspace_reuse", reuse_delta)
-                           .set("verdicts_identical", same));
     }
     std::printf("\n");
 

@@ -1,6 +1,9 @@
 #include "core/checkers.hpp"
 
+#include <atomic>
+#include <memory>
 #include <mutex>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -44,16 +47,25 @@ stg::ConflictWitness UnfoldingChecker::make_witness(const BitVec& ca,
 }
 
 stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
+    sched::Executor serial(1);
+    return check_usc(opts, serial);
+}
+
+stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts,
+                                                   sched::Executor& ex) const {
     obs::Span span("solve.usc");
     const SearchOptions local = with_clause_store(opts);
     CompatSolver solver(*problem_, local);
-    LeafPredicates leaf(*artifacts_);
-    auto outcome = solver.solve(
-        CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
-            // USC separating predicate: the markings must differ.
-            leaf.load(ca, cb);
-            return leaf.markings_differ();
-        });
+    auto outcome = solver.solve(CodeRelation::Equal, ex, [this] {
+        // USC separating predicate: the markings must differ.
+        return LanePredicate{
+            [leaf = LeafPredicates(*artifacts_)](const BitVec& ca,
+                                                 const BitVec& cb) mutable {
+                leaf.load(ca, cb);
+                return leaf.markings_differ();
+            },
+            {}};
+    });
     stg::CodingCheckResult result;
     result.stats = outcome.stats;
     if (outcome.found) {
@@ -119,7 +131,7 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
 
     auto hit = sched::find_first<SearchOutcome>(
         ex, outputs.size(),
-        [&](std::size_t i, const sched::CancellationToken& token)
+        [&](std::size_t i, std::size_t, const sched::CancellationToken& token)
             -> std::optional<SearchOutcome> {
             const stg::SignalId z = outputs[i];
             obs::Span task_span("solve.csc.signal");
@@ -130,15 +142,18 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
             local.cancel =
                 sched::CancellationToken::combine(shared.cancel, token);
             CompatSolver solver(*problem_, local);
-            LeafPredicates leaf(*artifacts_);  // this task's own scratch
-            auto outcome = solver.solve(
-                CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
-                    // Per-signal CSC predicate: z enabled at exactly one of
-                    // the two markings (a CSC conflict exists iff some
-                    // circuit-driven signal has one).
-                    leaf.load(ca, cb);
-                    return leaf.enabled_differs(z);
-                });
+            auto outcome = solver.solve(CodeRelation::Equal, ex, [&, z] {
+                // Per-signal CSC predicate: z enabled at exactly one of the
+                // two markings (a CSC conflict exists iff some circuit-driven
+                // signal has one).
+                return LanePredicate{
+                    [leaf = LeafPredicates(*artifacts_), z](
+                        const BitVec& ca, const BitVec& cb) mutable {
+                        leaf.load(ca, cb);
+                        return leaf.enabled_differs(z);
+                    },
+                    {}};
+            });
             {
                 std::lock_guard<std::mutex> lock(stats_mu);
                 total.search_nodes += outcome.stats.search_nodes;
@@ -165,7 +180,7 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
 
 UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
     CodeRelation rel, SearchOptions opts,
-    const std::vector<stg::SignalId>& outputs) const {
+    const std::vector<stg::SignalId>& outputs, sched::Executor& ex) const {
     obs::Span span("solve.normalcy.pass");
     span.attr("relation", rel == CodeRelation::LessEq ? "less_eq" : "greater_eq");
     NormalcyPass pass;
@@ -192,45 +207,82 @@ UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
 
     // The enumeration covers each unordered pair once, so a violating
     // ordered pair is found either with Code(x') <= Code(x'') (lo = x')
-    // or with Code(x') >= Code(x'') (lo = x'').  Each flag keeps the
-    // *first* violating pair in enumeration order, which is deterministic.
-    CompatSolver solver(*problem_, with_clause_store(opts));
-    LeafPredicates leaf(*artifacts_);
+    // or with Code(x') >= Code(x'') (lo = x'').  Each flag -- (signal i,
+    // p) at 2i, (signal i, n) at 2i+1 -- keeps the *first* violating pair in
+    // enumeration order (d ascending, DFS order within d), which is
+    // deterministic although the subproblems run concurrently: first_d is
+    // the subproblem of the flag's violation (q while it has none), a leaf
+    // of d tests only the flags with first_d > d, and a violation replaces
+    // the stored one only from a lower d.  Subproblem d is settled once
+    // every first_d <= d: nothing it or a higher d finds can matter.
+    const std::size_t q = problem_->size();
+    const std::size_t flags = 2 * outputs.size();
+    std::vector<std::atomic<std::size_t>> first_d(flags);
+    for (auto& f : first_d) f.store(q, std::memory_order_relaxed);
+    std::vector<std::pair<BitVec, BitVec>> first_pair(flags);  // (lo, hi)
+    std::mutex mu;
     const int lo = rel == CodeRelation::LessEq ? 0 : 1;
-    auto outcome = solver.solve(rel, [&](const BitVec& ca, const BitVec& cb) {
-        const BitVec& lo_cfg = lo == 0 ? ca : cb;
-        const BitVec& hi_cfg = lo == 0 ? cb : ca;
-        leaf.load(ca, cb);
-        leaf.load_codes(ca, cb);
-        for (std::size_t i = 0; i < outputs.size(); ++i) {
-            stg::SignalNormalcy& sn = pass.per_signal[i];
-            const stg::SignalId z = outputs[i];
-            if (sn.p_normal || sn.n_normal) {
-                const bool nxt_lo = leaf.nxt(lo, z);
-                const bool nxt_hi = leaf.nxt(1 - lo, z);
-                if (sn.p_normal && nxt_lo && !nxt_hi) {
-                    sn.p_normal = false;
-                    sn.p_violation = make_nw(z, lo_cfg, hi_cfg);
-                }
-                if (sn.n_normal && !nxt_lo && nxt_hi) {
-                    sn.n_normal = false;
-                    sn.n_violation = make_nw(z, lo_cfg, hi_cfg);
-                }
+    const auto settled = [&](std::size_t d) {
+        for (const auto& f : first_d)
+            if (f.load(std::memory_order_relaxed) > d) return false;
+        return true;
+    };
+    const auto record = [&](std::size_t flag, std::size_t d, const BitVec& ca,
+                            const BitVec& cb) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (d >= first_d[flag].load(std::memory_order_relaxed)) return;
+        first_d[flag].store(d, std::memory_order_relaxed);
+        first_pair[flag] = lo == 0 ? std::pair{ca, cb} : std::pair{cb, ca};
+    };
+
+    // Per-lane scratch: the leaf buffers and the lane's current subproblem.
+    struct Lane {
+        LeafPredicates leaf;
+        std::size_t d = 0;
+    };
+    CompatSolver solver(*problem_, with_clause_store(opts));
+    auto outcome = solver.solve(rel, ex, [&] {
+        auto lane = std::make_shared<Lane>(Lane{LeafPredicates(*artifacts_)});
+        auto accept = [&, lane](const BitVec& ca, const BitVec& cb) {
+            const std::size_t d = lane->d;
+            lane->leaf.load(ca, cb);
+            lane->leaf.load_codes(ca, cb);
+            for (std::size_t i = 0; i < outputs.size(); ++i) {
+                const bool p_open =
+                    first_d[2 * i].load(std::memory_order_relaxed) > d;
+                const bool n_open =
+                    first_d[2 * i + 1].load(std::memory_order_relaxed) > d;
+                if (!p_open && !n_open) continue;
+                const bool nxt_lo = lane->leaf.nxt(lo, outputs[i]);
+                const bool nxt_hi = lane->leaf.nxt(1 - lo, outputs[i]);
+                if (p_open && nxt_lo && !nxt_hi) record(2 * i, d, ca, cb);
+                if (n_open && !nxt_lo && nxt_hi) record(2 * i + 1, d, ca, cb);
             }
-        }
-        // Stop early only when no signal can still be classified normal.
-        bool anything_open = false;
-        for (const auto& sn : pass.per_signal)
-            if (sn.p_normal || sn.n_normal) anything_open = true;
-        if (!anything_open) pass.all_resolved = true;
-        return pass.all_resolved;
+            return settled(d);
+        };
+        auto start = [&, lane](std::size_t d) {
+            lane->d = d;
+            return settled(d);
+        };
+        return LanePredicate{accept, start};
     });
-    pass.stats.search_nodes = outcome.stats.search_nodes;
-    pass.stats.leaves = outcome.stats.leaves;
-    pass.stats.propagations = outcome.stats.propagations;
-    pass.stats.max_depth = outcome.stats.max_depth;
-    pass.stats.seconds = outcome.stats.seconds;
-    pass.stats.bound_seconds = outcome.stats.bound_seconds;
+
+    pass.all_resolved = true;
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+        stg::SignalNormalcy& sn = pass.per_signal[i];
+        if (first_d[2 * i].load(std::memory_order_relaxed) < q) {
+            sn.p_normal = false;
+            sn.p_violation = make_nw(outputs[i], first_pair[2 * i].first,
+                                     first_pair[2 * i].second);
+        }
+        if (first_d[2 * i + 1].load(std::memory_order_relaxed) < q) {
+            sn.n_normal = false;
+            sn.n_violation = make_nw(outputs[i], first_pair[2 * i + 1].first,
+                                     first_pair[2 * i + 1].second);
+        }
+        if (sn.p_normal || sn.n_normal) pass.all_resolved = false;
+    }
+    pass.stats = outcome.stats;
     return pass;
 }
 
@@ -247,16 +299,14 @@ stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts,
     // One work-preserving plan at every jobs value: the LessEq pass first,
     // the GreaterEq pass only for flags it left open.  Running both
     // orientations speculatively (as the parallel path once did) doubles
-    // the exhaustive-search work whenever LessEq resolves everything --
-    // on a loaded pool that speculation costs real throughput, while the
-    // pool's other runnable work (sibling models, per-signal CSC) keeps
-    // the workers busy without it (docs/PARALLELISM.md, "scaling study").
-    (void)ex;
+    // the exhaustive-search work whenever LessEq resolves everything
+    // (docs/PARALLELISM.md, "scaling study"); each pass spreads its own
+    // subproblems over `ex` instead.
     NormalcyPass less, greater;
     bool use_greater = false;
-    less = run_normalcy_pass(CodeRelation::LessEq, opts, outputs);
+    less = run_normalcy_pass(CodeRelation::LessEq, opts, outputs, ex);
     if (!less.all_resolved) {
-        greater = run_normalcy_pass(CodeRelation::GreaterEq, opts, outputs);
+        greater = run_normalcy_pass(CodeRelation::GreaterEq, opts, outputs, ex);
         use_greater = true;
     }
 

@@ -107,6 +107,10 @@ public:
     /// Unique State Coding: search for two configurations with equal codes
     /// and different markings.
     [[nodiscard]] stg::CodingCheckResult check_usc(SearchOptions opts = {}) const;
+    /// USC with the first-difference subproblems spread over `ex`; the
+    /// verdict and witness are those of the serial search at any `--jobs`.
+    [[nodiscard]] stg::CodingCheckResult check_usc(SearchOptions opts,
+                                                  sched::Executor& ex) const;
 
     /// Complete State Coding: search for two configurations with equal codes
     /// and different enabled-output sets (the paper's staged USC-then-CSC
@@ -117,8 +121,9 @@ public:
     /// circuit-driven signal z, predicate "z enabled at exactly one of the
     /// two markings") fanned out on `ex` with first-witness early stop:
     /// once a conflict for some signal is found, instances for later
-    /// signals are cancelled.  Deterministic at any `--jobs`: the reported
-    /// witness is the one of the *lowest-id* conflicting signal, and an
+    /// signals are cancelled.  Each instance spreads its own subproblems
+    /// over `ex` too.  Deterministic at any `--jobs`: the reported witness
+    /// is the one of the *lowest-id* conflicting signal, and an
     /// `Executor(1)` runs the identical decomposition serially.  Note the
     /// witness may legitimately differ from the single-instance
     /// check_csc(), which reports the globally first conflicting pair.
@@ -130,11 +135,12 @@ public:
     /// as p-normal / n-normal / not normal, with witnesses.
     [[nodiscard]] stg::NormalcyResult check_normalcy(SearchOptions opts = {}) const;
 
-    /// Normalcy with the two code-dominance orientations run as independent
-    /// instances on `ex` (the GreaterEq pass is cancelled early if the
-    /// LessEq pass already falsifies every flag).  Results are merged in
-    /// orientation order (LessEq first), so verdicts and witnesses are
-    /// identical at any `--jobs`, including `Executor(1)`.
+    /// Normalcy with each orientation's subproblems spread over `ex`.  The
+    /// orientations run in sequence: the LessEq pass, then the GreaterEq
+    /// pass only if some flag is still open.  Each flag keeps its first
+    /// violation in enumeration order, and results are merged LessEq
+    /// first, so verdicts and witnesses are identical at any `--jobs`,
+    /// including `Executor(1)`.
     [[nodiscard]] stg::NormalcyResult check_normalcy(SearchOptions opts,
                                                      sched::Executor& ex) const;
 
@@ -154,7 +160,7 @@ private:
     };
     [[nodiscard]] NormalcyPass run_normalcy_pass(
         CodeRelation rel, SearchOptions opts,
-        const std::vector<stg::SignalId>& outputs) const;
+        const std::vector<stg::SignalId>& outputs, sched::Executor& ex) const;
 
     cache::PrefixArtifactsPtr artifacts_;
     const stg::Stg* stg_;

@@ -1,6 +1,9 @@
 #include "core/compat_solver.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <memory>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -234,57 +237,95 @@ bool CompatKernel::next_unassigned(int& side, std::size_t& idx) const {
 
 // --- CompatSolver ----------------------------------------------------------
 
+/// One find_first lane's state, reused for every subproblem the lane draws.
+/// Line-aligned: the node counters are written at every search node.
+struct alignas(64) CompatSolver::Lane {
+    CompatKernel kernel;
+    LanePredicate predicate;
+    stg::CheckStats stats;        ///< this lane's nodes, leaves, max_depth
+    std::uint64_t bound_ns = 0;   ///< time inside assign() while obs is on
+    std::size_t synced = 0;       ///< own nodes as of the last poll()
+    std::size_t others = 0;       ///< other lanes' nodes as of the last poll()
+    const sched::CancellationToken* stop = nullptr;  ///< current d's token
+    bool cancellable = false;     ///< either token can fire
+    bool stopped = false;         ///< current d cut short by a token
+    BitVec replayed;              ///< cut-store cuts this lane skipped
+};
+
 CompatSolver::CompatSolver(const CodingProblem& problem, SearchOptions opts)
     : problem_(&problem), opts_(opts) {}
 
-bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
-    if (++stats_.search_nodes > opts_.max_nodes)
+void CompatSolver::poll(Lane& lane) {
+    // max_nodes is a per-solve total: publish this lane's nodes and learn
+    // the other lanes' (exact on a single lane, 1024-node granular across
+    // several).
+    const std::size_t own = lane.stats.search_nodes;
+    const std::size_t delta = own - lane.synced;
+    lane.others = nodes_.fetch_add(delta, std::memory_order_relaxed) + delta - own;
+    lane.synced = own;
+    // Cooperative cancellation: the caller's token, or find_first's token
+    // for this d (a lower d already hit).  Only the caller's marks the
+    // outcome cancelled.
+    if (lane.cancellable &&
+        (opts_.cancel.cancelled() || lane.stop->cancelled())) {
+        lane.stopped = true;
+        if (opts_.cancel.cancelled())
+            cancelled_.store(true, std::memory_order_relaxed);
+    }
+}
+
+bool CompatSolver::dfs(Lane& lane, std::size_t depth) {
+    stg::CheckStats& stats = lane.stats;
+    if (++stats.search_nodes + lane.others > opts_.max_nodes)
         throw ModelError("CompatSolver: node limit exceeded (" +
                          std::to_string(opts_.max_nodes) + ")");
-    if (depth > stats_.max_depth) stats_.max_depth = depth;
+    if (depth > stats.max_depth) stats.max_depth = depth;
     if (obs::enabled()) {
         static obs::Histogram& h = obs::histogram("compat.depth");
         h.observe(depth);
     }
-    // Cooperative cancellation: poll every kCancelPollMask+1 nodes, then
-    // unwind the whole search (returning false never records a witness).
-    if (opts_.cancel.cancellable() &&
-        (stats_.search_nodes & kCancelPollMask) == 0 &&
-        opts_.cancel.cancelled())
-        cancelled_ = true;
-    if (cancelled_) return false;
+    // Poll every kPollMask+1 nodes; a stopped lane unwinds its subproblem
+    // (returning false never records a witness).
+    if ((stats.search_nodes & kPollMask) == 0) poll(lane);
+    if (lane.stopped) return false;
 
+    CompatKernel& kernel = lane.kernel;
     int side = 0;
     std::size_t idx = 0;
-    if (!kernel_->next_unassigned(side, idx)) {
-        ++stats_.leaves;
-        if (accept(kernel_->ones(0), kernel_->ones(1))) {
-            outcome_.found = true;
-            outcome_.ca = kernel_->ones(0);
-            outcome_.cb = kernel_->ones(1);
-            return true;
-        }
-        return false;
+    if (!kernel.next_unassigned(side, idx)) {
+        ++stats.leaves;
+        return lane.predicate.accept(kernel.ones(0), kernel.ones(1));
     }
 
     for (int v = 0; v < 2; ++v) {
-        const std::size_t mark = kernel_->mark();
-        if (timed_assign(side, idx, v) && dfs(accept, depth + 1)) return true;
-        kernel_->undo_to(mark);
+        const std::size_t mark = kernel.mark();
+        if (timed_assign(lane, side, idx, v) && dfs(lane, depth + 1)) return true;
+        kernel.undo_to(mark);
     }
     return false;
 }
 
-bool CompatSolver::timed_assign(int side, std::size_t idx, int value) {
+bool CompatSolver::timed_assign(Lane& lane, int side, std::size_t idx,
+                                int value) {
     // Branch-vs-bound attribution: time spent inside assign() (closure +
     // interval propagation) is the "bound" share of a solve; everything
     // else in dfs() is branching.  Only measured while observability is on
     // -- two clock reads per search node is too much for the disabled path.
-    if (!obs::enabled()) return kernel_->assign(side, idx, value);
+    if (!obs::enabled()) return lane.kernel.assign(side, idx, value);
     Stopwatch w;
-    const bool ok = kernel_->assign(side, idx, value);
-    bound_ns_ += w.nanos();
+    const bool ok = lane.kernel.assign(side, idx, value);
+    lane.bound_ns += w.nanos();
     return ok;
+}
+
+bool CompatSolver::search(Lane& lane, std::size_t d,
+                          const sched::CancellationToken& stop) {
+    lane.kernel.set_first_diff(d);
+    lane.stop = &stop;
+    lane.cancellable = opts_.cancel.cancellable() || stop.cancellable();
+    lane.stopped = false;
+    return timed_assign(lane, 0, d, 0) && timed_assign(lane, 1, d, 1) &&
+           dfs(lane, 0);
 }
 
 namespace {
@@ -298,90 +339,128 @@ const char* relation_name(CodeRelation r) {
     return "?";
 }
 
+/// Leaves the kernel as reset() left it, also when the DFS throws.
+struct UndoAll {
+    CompatKernel& kernel;
+    ~UndoAll() { kernel.undo_to(0); }
+};
+
 }  // namespace
 
 SearchOutcome CompatSolver::solve(CodeRelation relation,
                                   const PairPredicate& accept) {
+    sched::Executor serial(1);
+    return solve(relation, serial, [&] { return LanePredicate{accept, {}}; });
+}
+
+SearchOutcome CompatSolver::solve(CodeRelation relation, sched::Executor& ex,
+                                  const LanePredicateFactory& make) {
     obs::Span span("compat.solve");
     span.attr("relation", relation_name(relation));
-    // Per-worker pooled kernel; reset() re-initialises every field, so a
-    // reused kernel behaves exactly like a fresh one.
-    auto lease = sched::WorkspacePool<CompatKernel>::global().acquire();
-    kernel_ = lease.get();
     const bool conflict_free_mode = opts_.use_conflict_free_optimisation &&
                                     problem_->dynamically_conflict_free();
     const std::size_t q = problem_->size();
-    kernel_->reset(*problem_, relation, conflict_free_mode);
-    stats_ = stg::CheckStats{};
-    outcome_ = SearchOutcome{};
 
     // Tier-2 learned clauses: snapshot the first-difference cuts proved by
     // sibling instances whose feasible set contains ours.  Skipped subtrees
     // are leaf-free, so the enumeration order of actual candidate pairs --
     // and with it verdict and witness -- is exactly that of an uncached run.
     const int relation_key = static_cast<int>(relation);
-    BitVec known_cuts;
     const bool sharing = opts_.clauses && opts_.clauses->num_vars() == q;
-    if (sharing)
-        known_cuts = opts_.clauses->cuts_for(relation_key, conflict_free_mode);
-    std::size_t cuts_replayed = 0, cuts_recorded = 0;
+    const BitVec known_cuts =
+        sharing ? opts_.clauses->cuts_for(relation_key, conflict_free_mode)
+                : BitVec{};
+    std::atomic<std::size_t> cuts_recorded{0};
+    nodes_.store(0, std::memory_order_relaxed);
+    cancelled_.store(false, std::memory_order_relaxed);
+
+    // Lane state is built on the lane's first subproblem, by the lane.
+    std::vector<std::unique_ptr<Lane>> lanes(sched::find_first_lanes(ex, q));
+    using Pair = std::pair<BitVec, BitVec>;
+    const auto hit = sched::find_first<Pair>(
+        ex, q,
+        [&](std::size_t d, std::size_t l,
+            const sched::CancellationToken& stop) -> std::optional<Pair> {
+            if (opts_.cancel.cancelled()) {
+                cancelled_.store(true, std::memory_order_relaxed);
+                return std::nullopt;
+            }
+            if (!lanes[l]) {
+                lanes[l] = std::make_unique<Lane>();
+                lanes[l]->kernel.reset(*problem_, relation, conflict_free_mode);
+                lanes[l]->predicate = make();
+                if (sharing) lanes[l]->replayed.resize(q);
+            }
+            Lane& lane = *lanes[l];
+            if (sharing && known_cuts.test(d)) {
+                lane.replayed.set(d);
+                return std::nullopt;
+            }
+            if (lane.predicate.start && lane.predicate.start(d)) return Pair{};
+            const std::size_t leaves_before = lane.stats.leaves;
+            const std::size_t nodes_before = lane.stats.search_nodes;
+            const UndoAll undo{lane.kernel};
+            if (search(lane, d, stop))
+                return Pair{lane.kernel.ones(0), lane.kernel.ones(1)};
+            // The subtree was exhausted (not found, not cut short) without a
+            // single leaf: no pair satisfies the linear system with first
+            // difference d.  Record the cut for siblings, priced at the
+            // search nodes the proof cost -- replaying siblings are credited
+            // exactly that many pruned nodes (efficacy accounting,
+            // docs/CACHING.md).
+            if (sharing && !lane.stopped && lane.stats.leaves == leaves_before) {
+                opts_.clauses->record_cut(relation_key, conflict_free_mode, d,
+                                          lane.stats.search_nodes - nodes_before);
+                cuts_recorded.fetch_add(1, std::memory_order_relaxed);
+            }
+            return std::nullopt;
+        });
+
+    SearchOutcome outcome;
+    if (hit) {
+        outcome.found = true;
+        outcome.ca = hit->value.first;
+        outcome.cb = hit->value.second;
+    }
+    outcome.cancelled = cancelled_.load(std::memory_order_relaxed);
+    stg::CheckStats& stats = outcome.stats;
+    std::uint64_t bound_ns = 0;
     BitVec replayed_mask;
     if (sharing) replayed_mask.resize(q);
-    bound_ns_ = 0;
-
-    // Outer loop over the first index d where the two vectors differ.
-    cancelled_ = false;
-    for (std::size_t d = 0; d < q && !outcome_.found && !cancelled_; ++d) {
-        if (!known_cuts.empty() && known_cuts.test(d)) {
-            ++cuts_replayed;
-            replayed_mask.set(d);
-            continue;
-        }
-        kernel_->set_first_diff(d);
-        const std::size_t leaves_before = stats_.leaves;
-        const std::size_t nodes_before = stats_.search_nodes;
-        const std::size_t mark = kernel_->mark();
-        if (timed_assign(0, d, 0) && timed_assign(1, d, 1))
-            (void)dfs(accept, 0);
-        kernel_->undo_to(mark);
-        // The subtree was exhausted (not found, not cancelled) without a
-        // single leaf: no pair satisfies the linear system with first
-        // difference d.  Record the cut for siblings, priced at the search
-        // nodes the proof cost -- replaying siblings are credited exactly
-        // that many pruned nodes (efficacy accounting, docs/CACHING.md).
-        if (sharing && !outcome_.found && !cancelled_ &&
-            stats_.leaves == leaves_before) {
-            opts_.clauses->record_cut(relation_key, conflict_free_mode, d,
-                                      stats_.search_nodes - nodes_before);
-            ++cuts_recorded;
-        }
+    for (const auto& lane : lanes) {
+        if (!lane) continue;
+        stats.search_nodes += lane->stats.search_nodes;
+        stats.leaves += lane->stats.leaves;
+        stats.propagations += lane->kernel.propagations();
+        stats.max_depth = std::max(stats.max_depth, lane->stats.max_depth);
+        bound_ns += lane->bound_ns;
+        if (sharing) replayed_mask |= lane->replayed;
     }
-    if (sharing && cuts_replayed > 0)
+    const std::size_t cuts_replayed = sharing ? replayed_mask.count() : 0;
+    if (cuts_replayed > 0)
         opts_.clauses->note_replayed(relation_key, conflict_free_mode,
                                      replayed_mask);
-    outcome_.cancelled = cancelled_;
-    stats_.propagations = kernel_->propagations();
-    outcome_.stats = stats_;
-    outcome_.stats.seconds = span.seconds();
-    outcome_.stats.bound_seconds = static_cast<double>(bound_ns_) / 1e9;
-    kernel_ = nullptr;
+    stats.seconds = span.seconds();
+    stats.bound_seconds = static_cast<double>(bound_ns) / 1e9;
 
     obs::counter("compat.solves").add();
-    obs::counter("compat.nodes").add(stats_.search_nodes);
-    obs::counter("compat.leaves").add(stats_.leaves);
+    obs::counter("compat.nodes").add(stats.search_nodes);
+    obs::counter("compat.leaves").add(stats.leaves);
     if (cuts_replayed > 0) obs::counter("cache.clauses.replayed").add(cuts_replayed);
     span.attr("vars", 2 * q);
+    span.attr("lanes", lanes.size());
     span.attr("conflict_free_mode", conflict_free_mode);
-    span.attr("nodes", stats_.search_nodes);
-    span.attr("leaves", stats_.leaves);
-    span.attr("propagations", stats_.propagations);
-    span.attr("max_depth", stats_.max_depth);
-    span.attr("bound_ns", bound_ns_);
-    span.attr("found", outcome_.found);
+    span.attr("nodes", stats.search_nodes);
+    span.attr("leaves", stats.leaves);
+    span.attr("propagations", stats.propagations);
+    span.attr("max_depth", stats.max_depth);
+    span.attr("bound_ns", bound_ns);
+    span.attr("found", outcome.found);
+    const std::size_t recorded = cuts_recorded.load(std::memory_order_relaxed);
     if (cuts_replayed > 0) span.attr("cuts_replayed", cuts_replayed);
-    if (cuts_recorded > 0) span.attr("cuts_recorded", cuts_recorded);
-    if (cancelled_) span.attr("cancelled", true);
-    return outcome_;
+    if (recorded > 0) span.attr("cuts_recorded", recorded);
+    if (outcome.cancelled) span.attr("cancelled", true);
+    return outcome;
 }
 
 }  // namespace stgcc::core

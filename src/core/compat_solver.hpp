@@ -33,7 +33,7 @@
 // the order.
 //
 // Distinct pairs are enumerated exactly once via a first-difference scheme:
-// the outer loop fixes the first dense index d where the vectors differ
+// subproblem d fixes the first dense index where the vectors differ
 // (x'_d = 0 < x''_d = 1, with x'_j = x''_j linked for j < d), which both
 // removes the C' = C'' diagonal and halves the symmetric search space --
 // this realises the paper's "M' <lex M''" separating constraint at the
@@ -41,18 +41,29 @@
 // unassigned index, x' before x'', found by a word scan of
 // ~((ones[0] | zeros[0]) & (ones[1] | zeros[1])).
 //
+// The q subproblems are independent, so solve() hands them to
+// sched::find_first on the caller's executor: indices are dispensed in
+// ascending order and the lowest-d hit wins.  Within one d the search is
+// the serial DFS, so the winning pair is the first pair of the serial
+// enumeration (d ascending, DFS order within d) at any --jobs, and
+// Executor(1) runs the same decomposition one d after another.  Each
+// find_first lane owns one CompatKernel and one leaf predicate and reuses
+// them for every d it draws (set_first_diff(d), assign, DFS, undo_to(0)),
+// so a subproblem allocates nothing (docs/PARALLELISM.md).
+//
 // When the STG is dynamically conflict-free, the section 7 optimisation
 // restricts the search to set-ordered pairs C' subset C'' via the extra
 // propagation x'_e <= x''_e (Proposition 1).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <optional>
 
 #include "cache/clause_store.hpp"
 #include "core/coding_problem.hpp"
 #include "sched/cancellation.hpp"
-#include "sched/workspace.hpp"
+#include "sched/parallel.hpp"
 #include "stg/results.hpp"
 
 namespace stgcc::core {
@@ -66,11 +77,13 @@ enum class CodeRelation { Equal, LessEq, GreaterEq };
 struct SearchOptions {
     /// Apply the conflict-free optimisation when the problem allows it.
     bool use_conflict_free_optimisation = true;
-    /// Abort (throw ModelError) after this many search nodes.
+    /// Abort (throw ModelError) after this many search nodes, counted over
+    /// all lanes of one solve.
     std::size_t max_nodes = 500'000'000;
-    /// Cooperative cancellation, polled every kCancelPollMask+1 search
-    /// nodes; a cancelled solve stops early with found == false and
-    /// cancelled == true.  Empty token (the default): never cancelled.
+    /// Cooperative cancellation, polled by every lane before each
+    /// subproblem and every 1024 search nodes; a cancelled solve stops
+    /// early with cancelled == true.  Empty token (the default): never
+    /// cancelled.
     sched::CancellationToken cancel;
     /// Learned-clause store shared with sibling instances (tier 2,
     /// src/cache/): proved leaf-free first-difference subtrees are skipped
@@ -89,6 +102,20 @@ struct SearchOptions {
 /// own assignment bitsets, valid only for the duration of the call.
 using PairPredicate = std::function<bool(const BitVec& ca, const BitVec& cb)>;
 
+/// What one find_first lane of a solve evaluates.  A lane runs one
+/// subproblem at a time, so the predicate may keep unsynchronised scratch.
+struct LanePredicate {
+    /// The leaf test; true is a hit that ends the lane's current subproblem.
+    PairPredicate accept;
+    /// Optional: called as the lane starts subproblem d (a lane draws
+    /// ascending d's).  Returning true settles d as a hit without searching
+    /// it; such a hit carries no pair.
+    std::function<bool(std::size_t d)> start;
+};
+/// Builds one lane's predicate.  Called once per lane, possibly from
+/// several threads at once.
+using LanePredicateFactory = std::function<LanePredicate()>;
+
 struct SearchOutcome {
     bool found = false;
     bool cancelled = false;  ///< search stopped by SearchOptions::cancel
@@ -97,9 +124,9 @@ struct SearchOutcome {
 };
 
 /// The assignment state of one pair search and its Theorem 1 closure (see
-/// the file comment).  CompatSolver checks one out of the per-worker
-/// WorkspacePool per solve and reset()s it, so a warm kernel allocates
-/// nothing; the kernel property test and bench_kernels drive it directly.
+/// the file comment).  Each lane of a CompatSolver solve reset()s one and
+/// reuses it for every subproblem it draws; the kernel property test and
+/// bench_kernels drive it directly.
 class CompatKernel {
 public:
     struct SignalState {
@@ -169,30 +196,43 @@ class CompatSolver {
 public:
     explicit CompatSolver(const CodingProblem& problem, SearchOptions opts = {});
 
-    /// Run the search.  `accept` is consulted at every candidate pair that
-    /// satisfies all linear constraints.
+    /// Run the search: subproblems d = 0..q-1 on `ex` (see the file
+    /// comment), each lane evaluating its own predicate from `make`.  The
+    /// outcome's pair is the lowest-d hit.  Stats are summed over lanes
+    /// (max_depth: the maximum; seconds: the solve's wall time), and
+    /// SearchOptions::max_nodes bounds the total across lanes.  `cancelled`
+    /// means SearchOptions::cancel fired, never that find_first dropped a
+    /// subproblem above the winner.
+    [[nodiscard]] SearchOutcome solve(CodeRelation relation,
+                                      sched::Executor& ex,
+                                      const LanePredicateFactory& make);
+
+    /// The same search on Executor(1), one lane evaluating `accept` at every
+    /// candidate pair that satisfies all linear constraints.
     [[nodiscard]] SearchOutcome solve(CodeRelation relation,
                                       const PairPredicate& accept);
 
 private:
-    /// Cancellation poll period: every 1024 search nodes.
-    static constexpr std::size_t kCancelPollMask = 1023;
+    /// Search-node period of the cancellation poll and of the lanes'
+    /// node-count sync: every 1024 nodes.
+    static constexpr std::size_t kPollMask = 1023;
 
+    struct Lane;
+    /// One subproblem on `lane`: true on a hit (the pair is still on the
+    /// lane's kernel).
+    bool search(Lane& lane, std::size_t d, const sched::CancellationToken& stop);
+    bool dfs(Lane& lane, std::size_t depth);
+    /// Publish the lane's node count and poll both cancellation tokens.
+    void poll(Lane& lane);
     /// CompatKernel::assign() with the bound-time stopwatch around it when
     /// observability is enabled (branch-vs-bound attribution in CheckStats).
-    bool timed_assign(int side, std::size_t idx, int value);
-    bool dfs(const PairPredicate& accept, std::size_t depth);
+    static bool timed_assign(Lane& lane, int side, std::size_t idx, int value);
 
     const CodingProblem* problem_;
     SearchOptions opts_;
-    bool cancelled_ = false;
-
-    // Pooled search state; valid only inside solve() (the lease lives on
-    // solve()'s stack).
-    CompatKernel* kernel_ = nullptr;
-    stg::CheckStats stats_;
-    std::uint64_t bound_ns_ = 0;  ///< time inside assign() while obs is on
-    SearchOutcome outcome_;
+    // Per-solve state shared by the lanes.
+    std::atomic<std::size_t> nodes_{0};  ///< nodes published by poll()
+    std::atomic<bool> cancelled_{false};  ///< SearchOptions::cancel observed
 };
 
 }  // namespace stgcc::core

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "ilp/model.hpp"
-#include "sched/workspace.hpp"
 
 namespace stgcc::ilp {
 
@@ -39,9 +38,7 @@ public:
         int old_lo, old_hi;
     };
 
-    /// Mutable search state, checked out of the per-worker WorkspacePool at
-    /// the top of solve() and fully re-initialised there (pooling cannot
-    /// change any observable result).
+    /// Mutable search state, fully re-initialised at the top of solve().
     struct Workspace {
         std::vector<int> lo, hi;
         std::vector<TrailEntry> trail;
@@ -69,7 +66,7 @@ private:
     const Model* model_;
     SolveOptions opts_;
     SolveStats stats_;
-    Workspace* ws_ = nullptr;  ///< valid only inside solve()
+    Workspace ws_;
 };
 
 }  // namespace stgcc::ilp

@@ -116,7 +116,6 @@ constexpr const char* kBuiltinCounters[] = {
     "cache.certificates.csc_from_usc",
     "cache.result.hits",      "cache.result.misses",
     "cache.result.stores",    "cache.result.evicted",
-    "sched.workspace_reuse",
     // Reduction pass manager (docs/REDUCTIONS.md).
     "stg.reduce.runs",        "stg.reduce.places_removed",
     "stg.reduce.transitions_removed",

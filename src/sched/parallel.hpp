@@ -6,9 +6,10 @@
 // runtime schedule.**  Results are merged in submission (index) order;
 // `find_first` returns the hit with the lowest index, not the one that
 // happened to finish first; exceptions are rethrown for the lowest failing
-// index.  `Executor(1)` bypasses the pool entirely (no threads are
-// created) yet runs the exact same decomposition, which is what makes
-// `--jobs 1` and `--jobs 8` byte-identical.
+// index (for `find_first`, the lowest below the winner).  `Executor(1)`
+// bypasses the pool entirely (no threads are created) yet runs the exact
+// same decomposition, which is what makes `--jobs 1` and `--jobs 8`
+// byte-identical.
 //
 // Cancellation: `find_first` hands every task its own CancellationToken
 // and cancels the tokens of all indices *above* the best hit so far.  A
@@ -83,22 +84,35 @@ struct FirstHit {
     R value{};
 };
 
-/// First-witness search with early stop: run fn(i, token) for i in [0, n)
-/// and return the engaged result with the **lowest index** (not the first
-/// to finish).  When index i produces a hit, the tokens of all indices
-/// above the best hit so far are cancelled; tasks below it always run to
-/// completion, so the winner is schedule-independent.  Serial executors
-/// evaluate indices in order and stop at the first hit -- the identical
-/// winner by construction.
+/// Number of lanes find_first(ex, n, ...) runs: the loop tasks that draw
+/// indices, each with a lane index in [0, find_first_lanes(ex, n)).  One on
+/// a serial executor; callers size per-lane state with it.
+[[nodiscard]] inline std::size_t find_first_lanes(const Executor& ex,
+                                                  std::size_t n) noexcept {
+    if (!ex.parallel()) return n == 0 ? 0 : 1;
+    return std::min<std::size_t>(n, static_cast<std::size_t>(ex.jobs()) + 1);
+}
+
+/// First-witness search with early stop: run fn(i, lane, token) for i in
+/// [0, n) and return the engaged result with the **lowest index** (not the
+/// first to finish).  `lane` identifies the loop task running the call:
+/// calls with the same lane never overlap, so per-lane scratch indexed by
+/// it needs no locking (lane 0 only, on a serial executor).  When index i
+/// produces a hit, the tokens of all indices above the best hit so far are
+/// cancelled; tasks below it always run to completion, so the winner is
+/// schedule-independent.  Serial executors evaluate indices in order and
+/// stop at the first hit -- the identical winner by construction.  If a
+/// call throws below the winner (or anywhere, without one), the exception
+/// of the lowest throwing index is rethrown after all lanes finished.
 template <class R>
 std::optional<FirstHit<R>> find_first(
     Executor& ex, std::size_t n,
-    const std::function<std::optional<R>(std::size_t, const CancellationToken&)>&
-        fn) {
+    const std::function<std::optional<R>(std::size_t, std::size_t,
+                                         const CancellationToken&)>& fn) {
     if (n == 0) return std::nullopt;
     if (!ex.parallel()) {
         for (std::size_t i = 0; i < n; ++i) {
-            auto r = fn(i, CancellationToken{});
+            auto r = fn(i, 0, CancellationToken{});
             if (r) return FirstHit<R>{i, std::move(*r)};
         }
         return std::nullopt;
@@ -121,11 +135,10 @@ std::optional<FirstHit<R>> find_first(
     std::mutex mu;
     std::size_t best = n;
     std::atomic<std::size_t> next{0};
-    const std::size_t lanes =
-        std::min<std::size_t>(n, static_cast<std::size_t>(ex.jobs()) + 1);
+    const std::size_t lanes = find_first_lanes(ex, n);
     TaskGroup group(ex.pool());
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-        group.run([&] {
+        group.run([&, lane] {
             for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
                  i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
                 {
@@ -134,7 +147,7 @@ std::optional<FirstHit<R>> find_first(
                 }
                 std::optional<R> r;
                 try {
-                    r = fn(i, sources[i].token());
+                    r = fn(i, lane, sources[i].token());
                 } catch (...) {
                     errors[i] = std::current_exception();
                     continue;
@@ -150,8 +163,10 @@ std::optional<FirstHit<R>> find_first(
         });
     }
     group.wait();
-    for (auto& e : errors)
-        if (e) std::rethrow_exception(e);
+    // Like the serial loop, which never runs an index above its first hit:
+    // only failures below the winner surface.
+    for (std::size_t i = 0; i < best; ++i)
+        if (errors[i]) std::rethrow_exception(errors[i]);
     if (best == n) return std::nullopt;
     return FirstHit<R>{best, std::move(*results[best])};
 }

@@ -124,7 +124,7 @@ TEST(ScalingStress, FindFirstDispensesAscendingAndStopsEarly) {
 
     const auto result = sched::find_first<int>(
         ex, kN,
-        [&](std::size_t i, const sched::CancellationToken& token)
+        [&](std::size_t i, std::size_t, const sched::CancellationToken& token)
             -> std::optional<int> {
             entered[i].store(true, std::memory_order_relaxed);
             if (i < kHit) return std::nullopt;  // fast miss below the hit

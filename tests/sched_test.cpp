@@ -416,7 +416,8 @@ TEST(SchedCancellation, DeadlineUnderSaturationCancelsRunningAndQueuedProbes) {
     const auto begin = std::chrono::steady_clock::now();
     const auto result = find_first<int>(
         ex, kN,
-        [&](std::size_t, const CancellationToken& token) -> std::optional<int> {
+        [&](std::size_t, std::size_t, const CancellationToken& token)
+            -> std::optional<int> {
             const CancellationToken combined =
                 CancellationToken::combine(token, deadline_token);
             if (combined.cancelled()) {
@@ -557,7 +558,7 @@ TEST(SchedFindFirst, ReturnsLowestIndexHitNotFirstFinisher) {
         // must be 2 at every jobs value: the reduction is by index, not by
         // completion order.
         auto hit = find_first<int>(
-            ex, 10, [&](std::size_t i, const CancellationToken&)
+            ex, 10, [&](std::size_t i, std::size_t, const CancellationToken&)
                 -> std::optional<int> {
                 if (i == 5) return 50;
                 if (i == 2) {
@@ -572,12 +573,42 @@ TEST(SchedFindFirst, ReturnsLowestIndexHitNotFirstFinisher) {
     }
 }
 
+TEST(SchedFindFirst, SurfacesOnlyFailuresBelowTheWinner) {
+    // The serial loop never runs an index above its first hit, so a
+    // failure there must not surface at any jobs value either; a failure
+    // below the hit does, at every jobs value.
+    for (unsigned jobs : {1u, 4u}) {
+        Executor ex(jobs);
+        auto hit = find_first<int>(
+            ex, 16, [](std::size_t i, std::size_t, const CancellationToken&)
+                -> std::optional<int> {
+                if (i == 9) throw std::runtime_error("above the winner");
+                if (i == 3) return 30;
+                return std::nullopt;
+            });
+        ASSERT_TRUE(hit.has_value()) << "jobs " << jobs;
+        EXPECT_EQ(hit->index, 3u);
+        EXPECT_THROW(
+            (void)find_first<int>(
+                ex, 16,
+                [](std::size_t i, std::size_t, const CancellationToken&)
+                    -> std::optional<int> {
+                    if (i == 1) throw std::runtime_error("below the winner");
+                    if (i == 3) return 30;
+                    return std::nullopt;
+                }),
+            std::runtime_error)
+            << "jobs " << jobs;
+    }
+}
+
 TEST(SchedFindFirst, MissReturnsNullopt) {
     for (unsigned jobs : {1u, 4u}) {
         Executor ex(jobs);
         auto hit = find_first<int>(
             ex, 32,
-            [](std::size_t, const CancellationToken&) -> std::optional<int> {
+            [](std::size_t, std::size_t, const CancellationToken&)
+                -> std::optional<int> {
                 return std::nullopt;
             });
         EXPECT_FALSE(hit.has_value());
@@ -593,7 +624,7 @@ TEST(SchedFindFirst, CancelsIndicesAboveTheHit) {
     Executor ex(4);
     std::atomic<int> cancelled_seen{0};
     auto hit = find_first<int>(
-        ex, 64, [&](std::size_t i, const CancellationToken& token)
+        ex, 64, [&](std::size_t i, std::size_t, const CancellationToken& token)
             -> std::optional<int> {
             if (i == 0) return 1;
             // Busy-wait a moment to give the cancel a chance to land.
