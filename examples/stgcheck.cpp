@@ -17,8 +17,9 @@
 // Caching (docs/CACHING.md): when a cache directory is configured
 // (--cache-dir or $STGCC_CACHE_DIR), finished verdicts are stored on disk
 // keyed by the model file's content hash and the checker options; a warm
-// run replays the stored report without re-verifying.  --no-cache disables
-// both the result cache and the in-process learned-clause sharing.
+// run replays the stored report without re-verifying.  The entries are
+// shared with stgbatch and stgd.  --no-cache disables both the result cache
+// and the in-process learned-clause sharing.
 //
 // Exit codes: 0 = all checked properties hold, 1 = a conflict / violation
 // was found, 2 = usage or IO error, 3 = internal error (baselines disagree).
@@ -30,10 +31,6 @@
 
 #include "cache/result_cache.hpp"
 #include "core/conflict_cores.hpp"
-#include "core/verifier.hpp"
-#include "obs/report.hpp"
-#include "svc/client.hpp"
-#include "svc/protocol.hpp"
 #include "obs/build_info.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
@@ -41,11 +38,11 @@
 #include "obs/trace.hpp"
 #include "petri/pnml.hpp"
 #include "petri/reachability.hpp"
-#include "stg/astg.hpp"
 #include "stg/logic.hpp"
-#include "stg/reduce/reduce.hpp"
 #include "stg/state_checks.hpp"
 #include "stg/state_graph.hpp"
+#include "svc/client.hpp"
+#include "svc/pipeline.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -106,9 +103,30 @@ void print_usage(std::ostream& out) {
            "            2 = usage/IO error, 3 = internal error\n";
 }
 
-/// --connect mode: ship the model to a running stgd and replay its stored
-/// verdict locally -- same stdout shape as a cache-hit run, same exit code
-/// as a local verification (docs/SERVICE.md).
+/// stgcheck's stdout for a rendered verdict: the same for a fresh check, a
+/// result-cache hit and a --connect run.
+void print_verdict(const stgcc::svc::Rendered& r, double seconds) {
+    std::cout << r.report << "unfolding+IP time: " << seconds << " s\n";
+    if (!r.deadlock_via.empty()) std::cout << r.deadlock_via << "\n";
+}
+
+/// Write the --json envelope: `body` plus build info (and the metrics
+/// registry when `metrics`).  False after reporting an IO error.
+bool write_json(const char* path, stgcc::obs::Json body, bool metrics) {
+    using namespace stgcc;
+    body.set("build", obs::build_info());
+    if (metrics) body.set("metrics", obs::Registry::instance().to_json());
+    if (!obs::save_json(path, obs::make_report("stgcheck", std::move(body)))) {
+        std::cerr << "error: cannot write " << path << "\n";
+        return false;
+    }
+    std::cout << "report written to " << path << "\n";
+    return true;
+}
+
+/// --connect mode: ship the model to a running stgd and replay its rendered
+/// verdict locally -- same stdout and exit code as a local run
+/// (docs/SERVICE.md).
 int run_connected(const char* connect, const char* path, const char* json_path,
                   const stgcc::svc::CheckOptions& copts,
                   std::uint64_t deadline_ms) {
@@ -146,33 +164,15 @@ int run_connected(const char* connect, const char* path, const char* json_path,
         std::cerr << "error: " << svc::response_error(*response) << "\n";
         return 2;
     }
-    const obs::Json* report = response->find("report");
-    const obs::Json* exit_code = response->find("exit");
-    if (!report || !exit_code) {
+    // A check response carries the rendered payload's members.
+    const auto rendered = svc::rendered_from_payload(*response);
+    if (!rendered) {
         std::cerr << "error: malformed response from " << connect << "\n";
         return 2;
     }
-    std::cout << report->as_string() << "unfolding+IP time: " << timer.seconds()
-              << " s\n";
-    if (const obs::Json* dl = response->find("deadlock_via"))
-        std::cout << dl->as_string() << "\n";
-    if (json_path) {
-        const obs::Json* body = response->find("json");
-        if (!body) {
-            std::cerr << "error: response carries no json report\n";
-            return 2;
-        }
-        obs::Json out = *body;
-        out.set("build", obs::build_info());
-        out.set("metrics", obs::Registry::instance().to_json());
-        if (!obs::save_json(json_path,
-                            obs::make_report("stgcheck", std::move(out)))) {
-            std::cerr << "error: cannot write " << json_path << "\n";
-            return 2;
-        }
-        std::cout << "report written to " << json_path << "\n";
-    }
-    return static_cast<int>(exit_code->as_int());
+    print_verdict(*rendered, timer.seconds());
+    if (json_path && !write_json(json_path, rendered->json, true)) return 2;
+    return rendered->exit_code;
 }
 
 /// True when `path` names a PNML file (case-sensitive extension match).
@@ -224,13 +224,7 @@ int run_pnml(const char* path, const char* json_path) {
                              .set("deadlock_free", deadlocks.empty())
                              .set("deadlock_states", deadlocks.size());
         if (!deadlock_via.empty()) body.set("deadlock_via", deadlock_via);
-        body.set("build", obs::build_info());
-        if (!obs::save_json(json_path,
-                            obs::make_report("stgcheck", std::move(body)))) {
-            std::cerr << "error: cannot write " << json_path << "\n";
-            return 2;
-        }
-        std::cout << "report written to " << json_path << "\n";
+        if (!write_json(json_path, std::move(body), false)) return 2;
     }
     return deadlocks.empty() ? 0 : 1;
 }
@@ -326,22 +320,22 @@ int main(int argc, char** argv) {
         std::cerr << "no input file\n";
         return 2;
     }
-    // Reject an unknown pass list up front (usage error, not a model error).
-    try {
-        (void)stg::reduce::Options::parse(reduce_spec);
-    } catch (const std::exception& ex) {
-        std::cerr << "bad --reduce value: " << ex.what() << "\n";
-        return 2;
-    }
-    // One options signature for every cache the verdict may land in --
-    // stgcheck's rendered entries, stgd's, and the shared semantic tier all
-    // embed CheckOptions::signature() (docs/CACHING.md).
+    // One options signature for every cache the verdict may land in: the
+    // rendered and semantic tiers are shared with stgbatch and stgd
+    // (docs/CACHING.md).
     svc::CheckOptions copts;
     copts.normalcy = normalcy;
     copts.reduce = reduce_spec;
     copts.deadlock = deadlock;
     copts.persistency = persistency;
     copts.use_cache = use_cache;
+    // Reject an unknown pass list up front (usage error, not a model error).
+    try {
+        (void)svc::verify_options(copts);
+    } catch (const std::exception& ex) {
+        std::cerr << "bad --reduce value: " << ex.what() << "\n";
+        return 2;
+    }
     if (is_pnml_path(path)) {
         if (connect || state_based || synthesize || cores || dot_path ||
             trace_path || metrics) {
@@ -371,82 +365,36 @@ int main(int argc, char** argv) {
     // run pays only the disabled-flag branch on the hot paths.
     if (trace_path || json_path || metrics) obs::set_enabled(true);
 
-    // Tier-3 result cache: only for runs whose entire stdout can be
-    // replayed from the stored verdict (no extras that need the prefix or
-    // live instrumentation).  --jobs is deliberately absent from the key:
+    // The result cache serves only runs whose entire stdout can be replayed
+    // from the stored verdict (no extras that need the prefix or live
+    // instrumentation).  --jobs is deliberately absent from the key:
     // verdicts and witnesses are identical at any jobs value.
     std::string cache_root;
-    if (use_cache) {
+    if (use_cache && !json_path && !trace_path && !metrics && !synthesize &&
+        !cores && !dot_path && !state_based) {
         if (cache_dir_flag)
             cache_root = cache_dir_flag;
         else if (const char* env = std::getenv("STGCC_CACHE_DIR"))
             cache_root = env;
     }
     const cache::ResultCache rcache(cache_root);
-    const bool cacheable = rcache.enabled() && !json_path && !trace_path &&
-                           !metrics && !synthesize && !cores && !dot_path &&
-                           !state_based;
-    const std::string options_sig = copts.signature();
 
     try {
         obs::Span root("stgcheck");
         root.attr("file", path);
-
-        std::uint64_t content_hash = 0;
-        bool hashed = false;
-        if (cacheable) {
-            Stopwatch probe_timer;
-            if (const auto bytes = cache::read_file_bytes(path)) {
-                content_hash = cache::fnv1a64(*bytes);
-                hashed = true;
-                if (const auto hit =
-                        rcache.load("stgcheck", content_hash, options_sig)) {
-                    const obs::Json* text = hit->find("report");
-                    const obs::Json* exit_code = hit->find("exit");
-                    if (text && exit_code) {
-                        std::cout << text->as_string() << "unfolding+IP time: "
-                                  << probe_timer.seconds() << " s\n";
-                        if (const obs::Json* dl = hit->find("deadlock_via"))
-                            std::cout << dl->as_string() << "\n";
-                        return static_cast<int>(exit_code->as_int());
-                    }
-                }
-            }
-        }
-
-        obs::Span parse_span("parse");
-        stg::Stg model = stg::load_astg_file(path);
-        parse_span.finish();
-
-        core::VerifyOptions opts;
-        opts.jobs = jobs;
-        opts.check_normalcy = normalcy;
-        opts.reduce = stg::reduce::Options::parse(reduce_spec);
-        opts.check_deadlock = deadlock;
-        opts.check_persistency = persistency;
-        opts.search.use_learned_clauses = use_cache;
+        const auto bytes = cache::read_file_bytes(path);
+        if (!bytes) throw ModelError(std::string("cannot open ASTG file: ") + path);
         Stopwatch timer;
-        // The cacheable path rides the shared semantic tier too: the reduced
-        // net's canonical hash can hit a verdict stored by stgd or by a
-        // structurally equivalent model file (docs/CACHING.md).
-        auto report = cacheable ? core::verify_stg_cached(model, opts, rcache)
-                                : core::verify_stg(model, opts);
-        const std::string report_text = core::format_report(model, report);
-        std::cout << report_text << "unfolding+IP time: " << timer.seconds()
-                  << " s\n";
-        // Extras that need the checked (reduced, dummy-free) net read it
-        // from the report; witnesses and the deadlock trace were already
-        // translated back to `model`.
-        const stg::Stg& checked =
-            report.reduced_stg ? *report.reduced_stg : model;
-        std::string deadlock_via;
-        if (report.deadlock_checked && !report.deadlock_free) {
-            deadlock_via =
-                "deadlock via: " + model.sequence_text(report.deadlock_trace);
-            std::cout << deadlock_via << "\n";
-        }
-
+        const svc::ModelCheck mc =
+            svc::check_model(*bytes, copts, rcache, nullptr, jobs);
+        const core::VerificationReport& report = mc.report;
+        print_verdict(mc.rendered, timer.seconds());
+        // The extras below disable the result cache, so `report` is a fresh
+        // one whose artifacts were built on the checked (reduced,
+        // dummy-free) net; witnesses and the deadlock trace are on the
+        // input model.
         if (synthesize && report.consistent && report.csc.holds) {
+            const stg::Stg& checked = report.artifacts->stg();
             stg::StateGraph sg(checked);
             stg::LogicSynthesizer synth(sg);
             std::cout << "next-state functions:\n";
@@ -477,7 +425,7 @@ int main(int argc, char** argv) {
 
         if (state_based && report.consistent) {
             Stopwatch sb;
-            stg::StateGraph sg(checked);
+            stg::StateGraph sg(report.artifacts->stg());
             auto usc = stg::check_usc_sg(sg);
             auto csc = stg::check_csc_sg(sg);
             std::cout << "state-based baseline: " << sg.num_states()
@@ -492,18 +440,8 @@ int main(int argc, char** argv) {
 
         root.finish();
 
-        if (json_path) {
-            obs::Json body = core::report_json(model, report);
-            body.set("jobs", report.jobs);
-            body.set("build", obs::build_info());
-            body.set("metrics", obs::Registry::instance().to_json());
-            if (!obs::save_json(json_path,
-                                obs::make_report("stgcheck", std::move(body)))) {
-                std::cerr << "error: cannot write " << json_path << "\n";
-                return 2;
-            }
-            std::cout << "report written to " << json_path << "\n";
-        }
+        if (json_path && !write_json(json_path, mc.rendered.json, true))
+            return 2;
         if (trace_path) {
             if (!obs::write_chrome_trace(trace_path)) {
                 std::cerr << "error: cannot write " << trace_path << "\n";
@@ -518,24 +456,7 @@ int main(int argc, char** argv) {
                       << obs::Registry::instance().text_summary();
         }
 
-        int exit_code = 1;
-        if (report.consistent) {
-            const bool all_hold =
-                report.usc.holds && report.csc.holds &&
-                (!normalcy || report.normalcy.normal) &&
-                (!report.deadlock_checked || report.deadlock_free) &&
-                (!report.persistency_checked || report.persistent);
-            exit_code = all_hold ? 0 : 1;
-        }
-        if (cacheable && hashed) {
-            obs::Json value = obs::Json::object()
-                                  .set("report", report_text)
-                                  .set("exit", exit_code);
-            if (!deadlock_via.empty()) value.set("deadlock_via", deadlock_via);
-            rcache.store("stgcheck", content_hash, options_sig,
-                         std::move(value));
-        }
-        return exit_code;
+        return mc.rendered.exit_code;
     } catch (const std::exception& ex) {
         std::cerr << "error: " << ex.what() << "\n";
         return 2;

@@ -77,16 +77,6 @@ BitVec ClauseStore::cuts_for(int relation, bool conflict_free_mode) const {
     return out;
 }
 
-void ClauseStore::record_usc_holds() {
-    std::lock_guard<std::mutex> lock(mu_);
-    usc_holds_ = true;
-}
-
-bool ClauseStore::usc_holds() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return usc_holds_;
-}
-
 std::size_t ClauseStore::num_cuts() const {
     std::lock_guard<std::mutex> lock(mu_);
     std::size_t n = 0;

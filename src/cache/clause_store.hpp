@@ -22,11 +22,6 @@
 //   * a cut learned without the conflict-free restriction is valid with it
 //     (the restricted search enumerates a subset of pairs).
 //
-// The store also keeps phase-level subsumption certificates: an exhaustive
-// USC pass that found no conflict proves CSC for every signal (equal codes
-// with equal markings give equal enabled-output sets), so sibling CSC
-// instances can answer "holds" without searching.
-//
 // Thread safety: all methods are mutex-guarded; record/replay races between
 // concurrent siblings only affect how many cuts a sibling happens to see
 // (node counts), never verdicts.
@@ -82,10 +77,6 @@ public:
     /// loop index.
     [[nodiscard]] BitVec cuts_for(int relation, bool conflict_free_mode) const;
 
-    /// Phase-level certificate: an exhaustive USC search found no conflict.
-    void record_usc_holds();
-    [[nodiscard]] bool usc_holds() const;
-
     /// Total cuts recorded so far (all keys; for tests and benches).
     [[nodiscard]] std::size_t num_cuts() const;
 
@@ -105,7 +96,6 @@ private:
     BitVec cuts_[6];  // [relation][conflict_free_mode]
     std::vector<std::uint64_t> costs_[6];  ///< proof nodes per recorded cut
     Efficacy eff_;
-    bool usc_holds_ = false;
 };
 
 }  // namespace stgcc::cache

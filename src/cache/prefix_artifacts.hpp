@@ -42,14 +42,17 @@ class PrefixArtifacts {
 public:
     /// Unfold `stg` and derive all artifacts.  Throws ModelError for
     /// dummy-carrying STGs and for STGs whose unfolding exceeds the limits.
-    /// `stg` must outlive the artifacts.
+    /// `stg` must outlive the artifacts, so a temporary does not compile.
     explicit PrefixArtifacts(const stg::Stg& stg, unf::UnfoldOptions opts = {});
+    explicit PrefixArtifacts(const stg::Stg&& stg, unf::UnfoldOptions opts = {}) = delete;
 
     /// Adopt an already built complete prefix of `stg`.
     PrefixArtifacts(const stg::Stg& stg, unf::Prefix prefix);
+    PrefixArtifacts(const stg::Stg&& stg, unf::Prefix prefix) = delete;
 
     /// Owning variant: keeps `stg` alive alongside the artifacts (used by
-    /// verify_stg for contracted STGs, whose report outlives the local).
+    /// svc::PreparedModel, whose reduced nets outlive the call that made
+    /// them).
     PrefixArtifacts(std::shared_ptr<const stg::Stg> stg,
                     unf::UnfoldOptions opts = {});
 

@@ -71,25 +71,22 @@ stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts,
     if (outcome.found) {
         result.holds = false;
         result.witness = make_witness(outcome.ca, outcome.cb);
-    } else if (local.clauses && !outcome.cancelled) {
-        // Exhaustive no-conflict proof: every equal-code pair has equal
-        // markings, hence equal enabled-output sets -- CSC holds too.
-        local.clauses->record_usc_holds();
+    } else if (!outcome.cancelled) {
+        usc_holds_.store(true, std::memory_order_relaxed);
     }
     return result;
 }
 
 stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts) const {
     obs::Span span("solve.csc");
-    const SearchOptions local = with_clause_store(opts);
-    if (local.clauses && local.clauses->usc_holds()) {
-        // Subsumption certificate from an exhaustive USC pass; the verdict
-        // is forced, so skip the search (stats stay zero -- they are
-        // schedule-dependent anyway, see docs/CACHING.md).
+    if (usc_holds_.load(std::memory_order_relaxed)) {
+        // USC holds, so CSC does: the verdict is forced and the search is
+        // skipped (stats stay zero).
         obs::counter("cache.certificates.csc_from_usc").add();
         span.attr("certificate", "usc_holds");
         return {};
     }
+    const SearchOptions local = with_clause_store(opts);
     CompatSolver solver(*problem_, local);
     LeafPredicates leaf(*artifacts_);
     const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
@@ -117,7 +114,7 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
     const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
     stg::CodingCheckResult result;
     if (outputs.empty()) return result;  // no circuit-driven signal: holds
-    if (shared.clauses && shared.clauses->usc_holds()) {
+    if (usc_holds_.load(std::memory_order_relaxed)) {
         obs::counter("cache.certificates.csc_from_usc").add();
         span.attr("certificate", "usc_holds");
         return result;

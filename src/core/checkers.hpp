@@ -12,6 +12,7 @@
 // can read one bundle concurrently without recomputing anything.
 #pragma once
 
+#include <atomic>
 #include <memory>
 
 #include "cache/prefix_artifacts.hpp"
@@ -78,10 +79,13 @@ class UnfoldingChecker {
 public:
     /// Unfold the STG and prepare the coding problem.  Throws ModelError on
     /// inconsistent or dummy-carrying STGs.
+    /// The checker keeps a pointer to `stg`, so a temporary does not compile.
     explicit UnfoldingChecker(const stg::Stg& stg, unf::UnfoldOptions opts = {});
+    explicit UnfoldingChecker(const stg::Stg&& stg, unf::UnfoldOptions opts = {}) = delete;
 
     /// Adopt an already built complete prefix of `stg`.
     UnfoldingChecker(const stg::Stg& stg, unf::Prefix prefix);
+    UnfoldingChecker(const stg::Stg&& stg, unf::Prefix prefix) = delete;
 
     /// Adopt a shared artifact bundle (tier-1 cache).  Throws ModelError
     /// when the bundle's STG is inconsistent (same diagnosis as above).
@@ -105,7 +109,10 @@ public:
     }
 
     /// Unique State Coding: search for two configurations with equal codes
-    /// and different markings.
+    /// and different markings.  An exhaustive, uncancelled search that finds
+    /// none is remembered: equal codes then imply equal markings, hence
+    /// equal enabled-output sets, so every later check_csc on this checker
+    /// answers "holds" without searching.
     [[nodiscard]] stg::CodingCheckResult check_usc(SearchOptions opts = {}) const;
     /// USC with the first-difference subproblems spread over `ex`; the
     /// verdict and witness are those of the serial search at any `--jobs`.
@@ -165,6 +172,7 @@ private:
     cache::PrefixArtifactsPtr artifacts_;
     const stg::Stg* stg_;
     const CodingProblem* problem_;
+    mutable std::atomic<bool> usc_holds_{false};  ///< see check_usc
 };
 
 }  // namespace stgcc::core

@@ -91,8 +91,7 @@ struct SearchOptions {
     /// witnesses (docs/CACHING.md); nullptr = no sharing.
     cache::ClauseStore* clauses = nullptr;
     /// Checker-level switch for the shared-store wiring (`--no-cache`):
-    /// when false, UnfoldingChecker leaves `clauses` unset and skips the
-    /// USC->CSC subsumption certificates.
+    /// when false, UnfoldingChecker leaves `clauses` unset.
     bool use_learned_clauses = true;
 };
 

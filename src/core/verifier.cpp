@@ -2,34 +2,19 @@
 
 #include <sstream>
 
-#include "core/extended_checks.hpp"
-#include "core/persistency.hpp"
 #include "core/report_codec.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "svc/pipeline.hpp"
 
 namespace stgcc::core {
 
 namespace {
-void run_checks(VerificationReport& report, const VerifyOptions& opts,
-                sched::Executor& ex);
 
-/// Run the reduction pipeline on a shared-owned copy of the input and
-/// record the bookkeeping (reduced_stg / dummies_contracted / summary) in
-/// the report.  Every removed transition is a dummy, so the legacy
-/// `dummies contracted` count is the summary's transition total.
-stg::reduce::ReduceResult reduce_input(const stg::Stg& input,
-                                       const VerifyOptions& opts,
-                                       VerificationReport& report) {
-    stg::reduce::ReduceResult red;
-    const stg::reduce::Options ropts = opts.effective_reduce();
-    if (!ropts.enabled) return red;
-    red = stg::reduce::run_passes(std::make_shared<const stg::Stg>(input),
-                                  ropts);
-    report.reduction = red.summary;
-    report.dummies_contracted = red.summary.transitions_removed();
-    if (red.summary.any()) report.reduced_stg = *red.stg;
-    return red;
+/// A non-owning handle on the caller's net: verify_stg neither copies nor
+/// keeps it (the report's artifacts reference it when no reduction changed
+/// the net, so the caller keeps it alive while using them).
+std::shared_ptr<const stg::Stg> borrow(const stg::Stg& input) {
+    return std::shared_ptr<const stg::Stg>(std::shared_ptr<const stg::Stg>(),
+                                           &input);
 }
 
 }  // namespace
@@ -55,68 +40,15 @@ VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts) {
 
 VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts,
                               sched::Executor& ex) {
-    obs::Span span("verify");
-    span.attr("stg", input.name());
-    VerificationReport report;
-    stg::reduce::ReduceResult red = reduce_input(input, opts, report);
-    // Tier-1 shared artifacts: the prefix, its consistency analysis, the
-    // coding problem, condition masks and the learned-clause store are
-    // computed exactly once here and shared by every checking phase (the
-    // consistency analysis used to run twice -- once here and once inside
-    // the CodingProblem constructor).  The bundle outlives this call inside
-    // the report, so the reduced STG it references is shared-owned.
-    report.artifacts =
-        red.stg
-            ? std::make_shared<const cache::PrefixArtifacts>(red.stg,
-                                                             opts.unfold)
-            : std::make_shared<const cache::PrefixArtifacts>(input, opts.unfold);
-    run_checks(report, opts, ex);
-    translate_report(report, input, red.chain);
-    return report;
+    return svc::check(svc::PreparedModel(borrow(input), opts), opts, nullptr,
+                      &ex);
 }
 
 VerificationReport verify_stg_cached(const stg::Stg& input, VerifyOptions opts,
                                      const cache::ResultCache& rcache,
                                      bool* semantic_hit) {
-    if (semantic_hit) *semantic_hit = false;
-    if (!rcache.enabled()) return verify_stg(input, std::move(opts));
-
-    obs::Span span("verify.cached");
-    span.attr("stg", input.name());
-    VerificationReport report;
-    stg::reduce::ReduceResult red = reduce_input(input, opts, report);
-    const stg::Stg& checked = red.stg ? *red.stg : input;
-    const std::uint64_t key = stg::reduce::semantic_hash(checked);
-    const std::string entry_opts = semantic_entry_options(opts);
-
-    if (auto payload = rcache.load("stgcore", key, entry_opts)) {
-        if (auto decoded = decode_report(*payload, checked)) {
-            obs::counter("cache.result.semantic_hits").add(1);
-            span.attr("semantic_hit", true);
-            if (semantic_hit) *semantic_hit = true;
-            decoded->jobs = opts.jobs;
-            decoded->reduction = report.reduction;
-            decoded->dummies_contracted = report.dummies_contracted;
-            decoded->reduced_stg = std::move(report.reduced_stg);
-            if (!red.chain.empty())
-                translate_report(*decoded, input, red.chain);
-            else if (decoded->persistency_violation)
-                decoded->persistency_note = persistency_note_text(
-                    input, *decoded->persistency_violation);
-            return *std::move(decoded);
-        }
-    }
-
-    sched::Executor ex(opts.jobs);
-    report.artifacts =
-        red.stg
-            ? std::make_shared<const cache::PrefixArtifacts>(red.stg,
-                                                             opts.unfold)
-            : std::make_shared<const cache::PrefixArtifacts>(input, opts.unfold);
-    run_checks(report, opts, ex);
-    rcache.store("stgcore", key, entry_opts, encode_report(report, checked));
-    translate_report(report, input, red.chain);
-    return report;
+    return svc::check(svc::PreparedModel(borrow(input), opts), opts, &rcache,
+                      nullptr, semantic_hit);
 }
 
 void translate_report(VerificationReport& r, const stg::Stg& input,
@@ -156,87 +88,6 @@ void translate_report(VerificationReport& r, const stg::Stg& input,
         r.persistency_note = persistency_note_text(input, v);
     }
 }
-
-VerificationReport verify_artifacts(cache::PrefixArtifactsPtr artifacts,
-                                    VerifyOptions opts, sched::Executor& ex) {
-    obs::Span span("verify.artifacts");
-    span.attr("stg", artifacts->stg().name());
-    VerificationReport report;
-    report.artifacts = std::move(artifacts);
-    run_checks(report, opts, ex);
-    return report;
-}
-
-namespace {
-
-/// Shared back half of verify_stg / verify_artifacts: run every checking
-/// phase against report.artifacts (already set).  The STG the checks see is
-/// the one the bundle was built from (post-contraction when the caller
-/// contracted).
-void run_checks(VerificationReport& report, const VerifyOptions& opts,
-                sched::Executor& ex) {
-    const cache::PrefixArtifacts& artifacts = *report.artifacts;
-    const stg::Stg& stg = artifacts.stg();
-    report.prefix.conditions = artifacts.prefix().num_conditions();
-    report.prefix.events = artifacts.prefix().num_events();
-    report.prefix.cutoffs = artifacts.prefix().num_cutoffs();
-    report.consistent = artifacts.consistency().consistent;
-    report.inconsistency_reason = artifacts.consistency().reason;
-    if (!report.consistent) return;
-    report.initial_code = artifacts.consistency().initial_code;
-
-    UnfoldingChecker checker(report.artifacts);
-    // Phase plan: the parallel decomposition must not *create* work the
-    // serial order avoids (docs/PARALLELISM.md, "scaling study").  USC and
-    // CSC form one ordered chain -- an exhaustive USC pass records the
-    // usc_holds certificate that lets CSC answer without searching, and
-    // running them concurrently would forfeit it and pay the full
-    // per-signal CSC fan-out on every conflict-free model (the 8x corpus
-    // inversion fixed in the scaling study).  Normalcy is an independent
-    // chain (LessEq pass, then GreaterEq only for unresolved flags).  The
-    // two chains run concurrently; within the CSC link the per-signal
-    // fan-out still spreads over the pool.  The serial executor runs the
-    // identical chains in order -- results are the same at any jobs value.
-    report.jobs = ex.jobs();
-    std::vector<std::function<void()>> phases;
-    phases.emplace_back([&] {
-        report.usc = checker.check_usc(opts.search, ex);
-        report.csc = checker.check_csc(opts.search, ex);
-    });
-    if (opts.check_normalcy) {
-        report.normalcy_checked = true;
-        phases.emplace_back(
-            [&] { report.normalcy = checker.check_normalcy(opts.search, ex); });
-    }
-    sched::parallel_invoke(ex, std::move(phases));
-    if (opts.search.use_learned_clauses)
-        report.cuts = report.artifacts->clauses().efficacy();
-    if (opts.check_deadlock) {
-        obs::Span phase("solve.deadlock");
-        report.deadlock_checked = true;
-        auto deadlock = check_deadlock(checker.problem());
-        report.deadlock_free = !deadlock.found;
-        if (deadlock.found) report.deadlock_trace = deadlock.witness->trace;
-    }
-    if (opts.check_persistency) {
-        obs::Span phase("solve.persistency");
-        report.persistency_checked = true;
-        auto persistency = check_persistency(checker.problem());
-        report.persistent = persistency.persistent;
-        if (!persistency.persistent) {
-            const auto& v = *persistency.violation;
-            report.persistency_violation =
-                VerificationReport::PersistencyViolation{v.output, v.disabler,
-                                                         v.trace};
-            // On the checked net; translate_report re-renders on the input
-            // when a reduction ran.
-            report.persistency_note =
-                persistency_note_text(stg, *report.persistency_violation);
-        }
-    }
-}
-
-}  // namespace
 
 namespace {
 

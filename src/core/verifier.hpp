@@ -3,7 +3,9 @@
 // Runs the full pipeline of the paper on an STG: build the complete prefix,
 // check consistency, then USC, CSC and (optionally) normalcy with the
 // unfolding + integer-programming method, returning witnesses for every
-// violated property.
+// violated property.  verify_stg and verify_stg_cached are thin wrappers
+// over the one model-to-report pipeline of svc/pipeline.hpp, which
+// stgcheck, stgbatch and stgd call directly.
 #pragma once
 
 #include <string>
@@ -57,9 +59,9 @@ struct VerificationReport {
     /// Shared per-prefix artifact bundle the checks ran on (tier-1 cache):
     /// prefix, consistency, coding problem, learned-clause store.  Lets
     /// consumers such as `stgcheck --cores` / `--dot` reuse the prefix
-    /// instead of re-unfolding.  Null only on the early contract-failure
-    /// paths; drop it (reset()) to release prefix memory when keeping many
-    /// reports, as `stgbatch` does.
+    /// instead of re-unfolding.  Null when the report came from the
+    /// semantic cache tier; drop it (reset()) to release prefix memory when
+    /// keeping many reports.
     cache::PrefixArtifactsPtr artifacts;
     PrefixStats prefix;
     unsigned jobs = 1;  ///< resolved worker count the checks ran with
@@ -76,9 +78,8 @@ struct VerificationReport {
     stg::reduce::Summary reduction;
     /// When reduction changed the net, the STG the checks actually ran on.
     /// Witness traces in this report are nevertheless expressed on the
-    /// *original* input net: verify_stg translates them back through the
-    /// composed witness chain before returning (stgd does the same via
-    /// translate_report).  Consumers that need the dummy-free checked net
+    /// *original* input net: the pipeline translates them back through the
+    /// composed witness chain before returning.  Consumers that need the dummy-free checked net
     /// itself -- synthesis, the state-graph baseline -- read this field.
     std::optional<stg::Stg> reduced_stg;
     bool deadlock_checked = false;
@@ -105,7 +106,9 @@ struct VerificationReport {
 };
 
 /// Run the whole pipeline.  Inconsistent STGs short-circuit (USC/CSC/
-/// normalcy are left at their defaults, consistent == false).
+/// normalcy are left at their defaults, consistent == false).  Unless a
+/// reduction changed the net, report.artifacts references `stg` itself:
+/// keep it alive while using them.
 [[nodiscard]] VerificationReport verify_stg(const stg::Stg& stg,
                                             VerifyOptions opts = {});
 
@@ -116,21 +119,6 @@ struct VerificationReport {
 [[nodiscard]] VerificationReport verify_stg(const stg::Stg& stg,
                                             VerifyOptions opts,
                                             sched::Executor& ex);
-
-/// Run the checking phases on an already built artifact bundle, skipping
-/// reduction and unfolding entirely (VerifyOptions::reduce /
-/// ::contract_dummies and ::unfold are ignored -- they were decided when
-/// the bundle was built).  This is the resident-service fast path
-/// (docs/SERVICE.md): `stgd` keeps recent bundles in memory and re-checks
-/// a model under different options without paying parse or unfold again.
-/// The caller owns the reduction bookkeeping (report.reduced_stg /
-/// reduction / dummies_contracted are left unset) and must call
-/// translate_report itself when the bundle was built from a reduced net.
-/// Verdicts and witnesses are identical to a fresh verify_stg of the same
-/// (possibly reduced) STG.
-[[nodiscard]] VerificationReport verify_artifacts(
-    cache::PrefixArtifactsPtr artifacts, VerifyOptions opts,
-    sched::Executor& ex);
 
 /// Rewrite every witness in `report` -- conflict/normalcy traces and
 /// markings, the deadlock trace, the persistency violation and its note --
@@ -150,21 +138,21 @@ void translate_report(VerificationReport& report, const stg::Stg& input,
 /// this input's own reduced net and translated through this input's own
 /// witness chain, so rendering is always faithful to the caller's net.
 /// `semantic_hit` (optional) reports whether the verdict came from the
-/// cache; report.artifacts is null in that case.
+/// cache; report.artifacts is null in that case.  Runs its checks on an
+/// Executor(opts.jobs) made only on a miss.
 [[nodiscard]] VerificationReport verify_stg_cached(
     const stg::Stg& input, VerifyOptions opts,
     const cache::ResultCache& rcache, bool* semantic_hit = nullptr);
 
 /// Options fragment of a semantic ("stgcore") cache entry: only the flags
 /// that change what the checks compute -- the reduce spec is deliberately
-/// absent, because the entry is keyed by the reduced net itself.  One
-/// spelling shared by verify_stg_cached and stgd.
+/// absent, because the entry is keyed by the reduced net itself.
 [[nodiscard]] std::string semantic_entry_options(const VerifyOptions& opts);
 
 /// Machine-readable per-pass reduction accounting (rounds, removals,
 /// remaining dummy names, per-pass counts).  One schema shared by
-/// `stgcheck --json` ("reduction" key), stgd's report rows and the
-/// stgbatch aggregate.
+/// `stgcheck --json` ("reduction" key), the report rows of stgbatch and
+/// stgd, and the stgbatch aggregate.
 [[nodiscard]] obs::Json reduction_json(const stg::reduce::Summary& s);
 
 /// Render the "output X disabled by Y via: ..." persistency note on `stg`

@@ -98,6 +98,13 @@ public:
         return *this;
     }
 
+    /// Append every member of object `other`, in order.
+    Json& merge(const Json& other) {
+        members_.insert(members_.end(), other.members_.begin(),
+                        other.members_.end());
+        return *this;
+    }
+
     /// Array append; returns *this for chaining.
     Json& push(Json value) {
         items_.push_back(std::move(value));

@@ -22,8 +22,8 @@
 //
 // Error codes: bad_request, model_error, deadline_exceeded, shutting_down,
 // internal.  The check options mirror the stgcheck flags that change
-// verdicts; `options_signature` renders the result-cache key fragment so
-// the daemon, stgcheck and the tests agree on one spelling.
+// verdicts; CheckOptions::signature() renders the result-cache key fragment
+// so the daemon, stgcheck, stgbatch and the tests agree on one spelling.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +53,10 @@ struct CheckOptions {
     [[nodiscard]] static CheckOptions from_json(const obs::Json* j);
 
     /// Options fragment of the result-cache key
-    /// ("v2;normalcy=1;reduce=none;...").  This is THE one signature
-    /// spelling: stgcheck's offline path, stgbatch and the daemon all embed
-    /// exactly this string in their cache keys, so a verdict cached by one
-    /// is warm for the others (svc_test pins the agreement).  The reduce
+    /// ("v2;normalcy=1;reduce=none;...").  It keys the one rendered cache
+    /// namespace that stgcheck, stgbatch and stgd all read and write
+    /// through svc::check_model, so a verdict cached by one is warm for the
+    /// others (svc_test's SvcSharedCache pins this).  The reduce
     /// spec is canonicalized (pass-list order and aliases normalized) when
     /// it parses; an unparsable spec is embedded verbatim -- such requests
     /// fail before any cache store, so no entry is ever keyed by it.

@@ -7,52 +7,17 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-
 #include <cstdio>
+#include <string_view>
 
-#include "core/report_codec.hpp"
-#include "core/verifier.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stg/astg.hpp"
-#include "stg/reduce/reduce.hpp"
 
 namespace stgcc::svc {
 
 namespace {
-
-/// stgcheck's all-properties-hold predicate (drives the exit code).
-bool check_all_hold(const core::VerificationReport& r) {
-    return r.consistent && r.usc.holds && r.csc.holds &&
-           (!r.normalcy_checked || r.normalcy.normal) &&
-           (!r.deadlock_checked || r.deadlock_free) &&
-           (!r.persistency_checked || r.persistent);
-}
-
-/// stgbatch's per-model predicate (drives the row "status"; stgbatch has no
-/// persistency flag, so the row deliberately ignores it).
-bool batch_all_hold(const core::VerificationReport& r) {
-    return r.consistent && r.usc.holds && r.csc.holds &&
-           (!r.normalcy_checked || r.normalcy.normal) &&
-           (!r.deadlock_checked || r.deadlock_free);
-}
-
-/// stgbatch's streamed verdict line, plus a persistency field when that
-/// check ran (stgbatch itself never requests it, so parity is preserved).
-std::string verdict_line(const core::VerificationReport& r) {
-    if (!r.consistent) return "inconsistent (" + r.inconsistency_reason + ")";
-    std::string out;
-    out += r.usc.holds ? "USC:ok" : "USC:VIOLATED";
-    out += r.csc.holds ? " CSC:ok" : " CSC:VIOLATED";
-    if (r.normalcy_checked)
-        out += r.normalcy.normal ? " normalcy:ok" : " normalcy:VIOLATED";
-    if (r.deadlock_checked)
-        out += r.deadlock_free ? " deadlock:none" : " deadlock:REACHABLE";
-    if (r.persistency_checked)
-        out += r.persistent ? " persistency:ok" : " persistency:VIOLATED";
-    return out;
-}
 
 constexpr const char* kDeadlineQueued = "deadline expired while queued";
 constexpr const char* kDeadlineVerify = "deadline expired during verification";
@@ -287,14 +252,8 @@ bool Server::handle_request(int fd, std::mutex& write_mu,
             return true;
         }
         if (opname == "stats") {
-            obs::Json resp = make_ok(id);
-            obs::Json stats = stats_json();
-            for (std::size_t i = 0; i < stats.size(); ++i) {
-                const auto& [key, value] = stats.member(i);
-                resp.set(key, value);
-            }
-            resp.set("trace", trace);
-            respond(fd, write_mu, resp);
+            respond(fd, write_mu,
+                    make_ok(id).merge(stats_json()).set("trace", trace));
             return true;
         }
         if (opname == "shutdown") {
@@ -346,28 +305,10 @@ void Server::handle_check(int fd, std::mutex& write_mu, const obs::Json& req,
     obs::Span span("svc.check");
     span.attr("trace", trace);
     const CheckOptions copts = CheckOptions::from_json(req.find("options"));
-    std::uint64_t deadline_ms = cfg_.default_deadline_ms;
-    if (const obs::Json* d = req.find("deadline_ms")) deadline_ms = d->as_uint();
     sched::CancellationSource source;
-    sched::CancellationToken token;
-    if (deadline_ms > 0) {
-        source.cancel_after(std::chrono::milliseconds(deadline_ms));
-        token = source.token();
-    }
+    const sched::CancellationToken token = arm_deadline(req, source);
     Stopwatch timer;
-    if (!admit(token)) {
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        event_log_.info("check.deadline_exceeded",
-                        obs::Json::object()
-                            .set("trace", trace)
-                            .set("where", "queued")
-                            .set("queue_delay_ms", timer.millis()));
-        respond(fd, write_mu,
-                make_error(id, "deadline_exceeded", kDeadlineQueued)
-                    .set("trace", trace));
-        return;
-    }
+    if (!admit(fd, write_mu, id, trace, token, timer)) return;
     if (event_log_.should_log(obs::LogLevel::Info))
         event_log_.info("check.started",
                         obs::Json::object()
@@ -386,19 +327,14 @@ void Server::handle_check(int fd, std::mutex& write_mu, const obs::Json& req,
                     .set("trace", trace));
         return;
     }
-    obs::Json resp = make_ok(id);
-    resp.set("exit", out.r.exit_code)
-        .set("all_hold", out.r.all_hold)
-        .set("verdict", out.r.verdict)
-        .set("report", out.r.report);
-    if (!out.r.deadlock_via.empty()) resp.set("deadlock_via", out.r.deadlock_via);
-    resp.set("row", out.r.row)
-        .set("json", out.r.json)
-        .set("cached", out.cache_tier ? obs::Json(std::string(out.cache_tier))
-                                      : obs::Json(false))
-        .set("seconds", timer.seconds())
-        .set("trace", trace);
-    respond(fd, write_mu, resp);
+    respond(fd, write_mu,
+            make_ok(id)
+                .merge(rendered_payload(out.r))
+                .set("cached", out.cache_tier
+                                   ? obs::Json(std::string(out.cache_tier))
+                                   : obs::Json(false))
+                .set("seconds", timer.seconds())
+                .set("trace", trace));
 }
 
 void Server::log_check_outcome(const std::string& trace, const Outcome& out,
@@ -475,28 +411,10 @@ void Server::handle_batch(int fd, std::mutex& write_mu, const obs::Json& req,
         items.push_back(std::move(item));
     }
     const CheckOptions copts = CheckOptions::from_json(req.find("options"));
-    std::uint64_t deadline_ms = cfg_.default_deadline_ms;
-    if (const obs::Json* d = req.find("deadline_ms")) deadline_ms = d->as_uint();
     sched::CancellationSource source;
-    sched::CancellationToken token;
-    if (deadline_ms > 0) {
-        source.cancel_after(std::chrono::milliseconds(deadline_ms));
-        token = source.token();
-    }
+    const sched::CancellationToken token = arm_deadline(req, source);
     Stopwatch timer;
-    if (!admit(token)) {
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        event_log_.info("check.deadline_exceeded",
-                        obs::Json::object()
-                            .set("trace", trace)
-                            .set("where", "queued")
-                            .set("queue_delay_ms", timer.millis()));
-        respond(fd, write_mu,
-                make_error(id, "deadline_exceeded", kDeadlineQueued)
-                    .set("trace", trace));
-        return;
-    }
+    if (!admit(fd, write_mu, id, trace, token, timer)) return;
     if (event_log_.should_log(obs::LogLevel::Info))
         event_log_.info("check.started",
                         obs::Json::object()
@@ -560,161 +478,84 @@ Server::Outcome Server::run_check(const std::string& model_text,
     Outcome out;
     const std::uint64_t hash = cache::fnv1a64(model_text);
     out.model_hash = hash;
-    // Reject an unparsable reduce spec before any cache interaction, so no
-    // rendered entry is ever keyed by a raw (non-canonical) signature.
-    stg::reduce::Options ropts;
-    try {
-        ropts = stg::reduce::Options::parse(copts.reduce);
-    } catch (const std::exception& e) {
-        out.error_code = "model_error";
-        out.error_message = e.what();
-        return out;
-    }
-    const std::string sig = copts.signature();
-    const std::string key = std::to_string(hash) + '|' + sig;
+    const std::string key = std::to_string(hash) + '|' + copts.signature();
+    const auto count_miss = [this] {
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        obs::counter("svc.check.misses").add();
+    };
     if (copts.use_cache) {
-        {
-            std::lock_guard<std::mutex> lock(results_mu_);
-            const auto it = results_.find(key);
-            if (it != results_.end()) {
-                memory_hits_.fetch_add(1, std::memory_order_relaxed);
-                obs::counter("svc.check.memory_hits").add();
-                out.ok = true;
-                out.r = it->second;
-                out.cache_tier = "memory";
-                return out;
-            }
+        std::lock_guard<std::mutex> lock(results_mu_);
+        const auto it = results_.find(key);
+        if (it != results_.end()) {
+            memory_hits_.fetch_add(1, std::memory_order_relaxed);
+            obs::counter("svc.check.memory_hits").add();
+            out.ok = true;
+            out.r = it->second;
+            out.cache_tier = "memory";
+            return out;
         }
-        if (const auto hit = rcache_.load("stgd", hash, sig)) {
-            Rendered r;
-            if (rendered_from_payload(*hit, r)) {
-                {
-                    std::lock_guard<std::mutex> lock(results_mu_);
-                    if (results_.size() >= cfg_.result_slots) results_.clear();
-                    results_.emplace(key, r);
-                }
-                disk_hits_.fetch_add(1, std::memory_order_relaxed);
-                obs::counter("svc.check.disk_hits").add();
-                out.ok = true;
-                out.r = std::move(r);
-                out.cache_tier = "disk";
-                return out;
-            }
-        }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter("svc.check.misses").add();
-    if (deadline.cancelled()) {
-        out.error_code = "deadline_exceeded";
-        out.error_message = kDeadlineQueued;
-        return out;
     }
     try {
-        const auto bundle = get_bundle(model_text, hash, ropts);
-        core::VerifyOptions vopts;
-        vopts.check_normalcy = copts.normalcy;
-        vopts.check_deadlock = copts.deadlock;
-        vopts.check_persistency = copts.persistency;
-        vopts.search.use_learned_clauses = copts.use_cache;
-        vopts.search.cancel = deadline;
-        // Semantic tier ("stgcore", docs/CACHING.md): the reduced net's
-        // canonical hash keys a pre-translation report shared with
-        // stgcheck's offline path and with any model text reducing to the
-        // same net.  The stored report is decoded against this bundle's own
-        // checked net, then translated through this bundle's own chain.
-        const std::string entry_opts = core::semantic_entry_options(vopts);
-        core::VerificationReport report;
-        bool semantic = false;
-        if (copts.use_cache) {
-            if (const auto payload =
-                    rcache_.load("stgcore", bundle->semantic_key, entry_opts)) {
-                if (auto decoded =
-                        core::decode_report(*payload, *bundle->checked)) {
-                    obs::counter("cache.result.semantic_hits").add();
-                    report = *std::move(decoded);
-                    report.jobs = ex_.jobs();
-                    semantic = true;
-                    out.cache_tier = "semantic";
-                }
-            }
+        ModelCheck mc = check_model(
+            model_text, copts, rcache_, &ex_, ex_.jobs(), deadline,
+            [&](const core::VerifyOptions& vopts) {
+                return get_bundle(model_text, hash, vopts);
+            });
+        const bool disk = mc.tier && std::string_view(mc.tier) == "disk";
+        if (disk) {
+            disk_hits_.fetch_add(1, std::memory_order_relaxed);
+            obs::counter("svc.check.disk_hits").add();
+        } else {
+            count_miss();
         }
-        if (!semantic) {
-            report = core::verify_artifacts(bundle->artifacts, vopts, ex_);
-            if (deadline.cancelled()) {
-                // A cancelled solve stops early with indeterminate verdicts;
-                // discard rather than serve a partial result.
-                out.error_code = "deadline_exceeded";
-                out.error_message = kDeadlineVerify;
-                return out;
-            }
-            if (copts.use_cache)
-                rcache_.store("stgcore", bundle->semantic_key, entry_opts,
-                              core::encode_report(report, *bundle->checked));
-        }
-        report.dummies_contracted = bundle->reduction.transitions_removed();
-        report.reduction = bundle->reduction;
-        if (bundle->reduction.any()) report.reduced_stg = *bundle->checked;
-        if (!bundle->chain.empty())
-            core::translate_report(report, *bundle->model, bundle->chain);
-        else if (semantic && report.persistency_violation)
-            report.persistency_note = core::persistency_note_text(
-                *bundle->model, *report.persistency_violation);
-        out.r = render(*bundle, report);
-        out.ok = true;
-        checks_run_.fetch_add(1, std::memory_order_relaxed);
-        if (copts.use_cache) {
-            {
-                std::lock_guard<std::mutex> lock(results_mu_);
-                if (results_.size() >= cfg_.result_slots) results_.clear();
-                results_.emplace(key, out.r);
-            }
-            rcache_.store("stgd", hash, sig, rendered_payload(out.r));
-        }
-    } catch (const std::exception& e) {
-        if (deadline.cancelled()) {
+        if (mc.cancelled) {
+            // A cancelled solve stops early with indeterminate verdicts;
+            // nothing partial is served or cached.
             out.error_code = "deadline_exceeded";
             out.error_message = kDeadlineVerify;
             return out;
         }
-        out.error_code = "model_error";
-        out.error_message = e.what();
+        if (!disk) checks_run_.fetch_add(1, std::memory_order_relaxed);
+        out.ok = true;
+        out.r = std::move(mc.rendered);
+        out.cache_tier = mc.tier;
+        if (copts.use_cache) {
+            std::lock_guard<std::mutex> lock(results_mu_);
+            if (results_.size() >= cfg_.result_slots) results_.clear();
+            results_.emplace(key, out.r);
+        }
+    } catch (const std::exception& e) {
+        count_miss();
+        out.error_code = deadline.cancelled() ? "deadline_exceeded" : "model_error";
+        out.error_message = deadline.cancelled() ? kDeadlineVerify : e.what();
     }
     return out;
 }
 
-std::shared_ptr<Server::Bundle> Server::get_bundle(
+std::shared_ptr<const PreparedModel> Server::get_bundle(
     const std::string& model_text, std::uint64_t hash,
-    const stg::reduce::Options& reduce) {
-    const std::string spec = reduce.spec();
+    const core::VerifyOptions& opts) {
+    const std::string spec = opts.effective_reduce().spec();
     {
         std::lock_guard<std::mutex> lock(bundles_mu_);
         for (const auto& b : bundles_) {
             if (b->hash == hash && b->reduce_spec == spec) {
                 b->last_used = ++bundle_clock_;
                 obs::counter("svc.bundle.hits").add();
-                return b;
+                return b->model;
             }
         }
     }
     obs::counter("svc.bundle.misses").add();
-    // Build outside the lock: unfolding can take seconds, and two requests
-    // racing on the same new model at worst build it twice.
+    // Build outside the lock: reduction can take a while, and two requests
+    // racing on the same new model at worst build it twice.  The unfolding
+    // is left to the first check that needs it.
     auto b = std::make_shared<Bundle>();
     b->hash = hash;
     b->reduce_spec = spec;
-    b->model =
-        std::make_shared<const stg::Stg>(stg::parse_astg_string(model_text));
-    if (reduce.enabled) {
-        auto red = stg::reduce::run_passes(b->model, reduce);
-        b->checked = std::move(red.stg);
-        b->reduction = std::move(red.summary);
-        b->chain = std::move(red.chain);
-    } else {
-        b->checked = b->model;
-    }
-    b->semantic_key = stg::reduce::semantic_hash(*b->checked);
-    b->artifacts = std::make_shared<const cache::PrefixArtifacts>(
-        b->checked, unf::UnfoldOptions{});
+    b->model = std::make_shared<const PreparedModel>(
+        std::make_shared<const stg::Stg>(stg::parse_astg_string(model_text)),
+        opts);
     std::lock_guard<std::mutex> lock(bundles_mu_);
     b->last_used = ++bundle_clock_;
     if (cfg_.bundle_slots > 0 && bundles_.size() >= cfg_.bundle_slots) {
@@ -727,88 +568,39 @@ std::shared_ptr<Server::Bundle> Server::get_bundle(
         bundles_.erase(lru);
     }
     bundles_.push_back(b);
-    return b;
+    return b->model;
 }
 
-Server::Rendered Server::render(const Bundle& bundle,
-                                const core::VerificationReport& r) {
-    Rendered out;
-    out.report = core::format_report(*bundle.model, r);
-    // The deadlock trace (like every witness) was translated back to the
-    // original model before render, so the "via" line names its transitions.
-    if (r.deadlock_checked && !r.deadlock_free)
-        out.deadlock_via =
-            "deadlock via: " + bundle.model->sequence_text(r.deadlock_trace);
-    out.all_hold = check_all_hold(r);
-    out.exit_code = r.consistent ? (out.all_hold ? 0 : 1) : 1;
-    out.verdict = verdict_line(r);
-    // stgbatch's report row sans the leading "file" member -- the model text
-    // is content-addressed, so the same cached row serves clients that know
-    // the model under different paths; they prepend their own label.
-    obs::Json row = obs::Json::object();
-    row.set("name", bundle.model->name());
-    row.set("status", batch_all_hold(r) ? "ok" : "violated");
-    obs::Json verdicts = obs::Json::object();
-    verdicts.set("consistent", r.consistent);
-    if (r.consistent) {
-        verdicts.set("usc", r.usc.holds);
-        verdicts.set("csc", r.csc.holds);
-        if (r.normalcy_checked) verdicts.set("normalcy", r.normalcy.normal);
-        if (r.deadlock_checked)
-            verdicts.set("deadlock_free", r.deadlock_free);
-    }
-    row.set("verdicts", std::move(verdicts));
-    row.set("prefix", obs::Json::object()
-                          .set("conditions", r.prefix.conditions)
-                          .set("events", r.prefix.events)
-                          .set("cutoffs", r.prefix.cutoffs));
-    if (r.reduction.rounds > 0)
-        row.set("reduction", core::reduction_json(r.reduction));
-    out.row = std::move(row);
-    out.json = core::report_json(*bundle.model, r);
-    out.json.set("jobs", r.jobs);
-    return out;
+sched::CancellationToken Server::arm_deadline(
+    const obs::Json& req, sched::CancellationSource& source) const {
+    std::uint64_t deadline_ms = cfg_.default_deadline_ms;
+    if (const obs::Json* d = req.find("deadline_ms")) deadline_ms = d->as_uint();
+    if (deadline_ms == 0) return {};
+    source.cancel_after(std::chrono::milliseconds(deadline_ms));
+    return source.token();
 }
 
-obs::Json Server::rendered_payload(const Rendered& r) {
-    obs::Json v = obs::Json::object()
-                      .set("exit", r.exit_code)
-                      .set("all_hold", r.all_hold)
-                      .set("verdict", r.verdict)
-                      .set("report", r.report);
-    if (!r.deadlock_via.empty()) v.set("deadlock_via", r.deadlock_via);
-    v.set("row", r.row);
-    v.set("json", r.json);
-    return v;
-}
-
-bool Server::rendered_from_payload(const obs::Json& v, Rendered& out) {
-    const obs::Json* exit_code = v.find("exit");
-    const obs::Json* all_hold = v.find("all_hold");
-    const obs::Json* verdict = v.find("verdict");
-    const obs::Json* report = v.find("report");
-    const obs::Json* row = v.find("row");
-    const obs::Json* json = v.find("json");
-    if (!exit_code || !all_hold || !verdict || !report || !row || !json)
-        return false;
-    out.exit_code = static_cast<int>(exit_code->as_int());
-    out.all_hold = all_hold->as_bool();
-    out.verdict = verdict->as_string();
-    out.report = report->as_string();
-    if (const obs::Json* dl = v.find("deadlock_via"))
-        out.deadlock_via = dl->as_string();
-    out.row = *row;
-    out.json = *json;
-    return true;
-}
-
-bool Server::admit(const sched::CancellationToken& deadline) {
+bool Server::admit(int fd, std::mutex& write_mu, std::int64_t id,
+                   const std::string& trace,
+                   const sched::CancellationToken& deadline,
+                   const Stopwatch& timer) {
     Stopwatch wait;
     gate_waiting_.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lock(gate_mu_);
     while (gate_inflight_ >= gate_cap_) {
         if (deadline.cancelled()) {
             gate_waiting_.fetch_sub(1, std::memory_order_relaxed);
+            lock.unlock();
+            deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+            errors_.fetch_add(1, std::memory_order_relaxed);
+            event_log_.info("check.deadline_exceeded",
+                            obs::Json::object()
+                                .set("trace", trace)
+                                .set("where", "queued")
+                                .set("queue_delay_ms", timer.millis()));
+            respond(fd, write_mu,
+                    make_error(id, "deadline_exceeded", kDeadlineQueued)
+                        .set("trace", trace));
             return false;
         }
         gate_cv_.wait_for(lock, std::chrono::milliseconds(5));

@@ -2,9 +2,10 @@
 //
 // A Server owns the long-lived state that per-process CLI runs pay for on
 // every invocation: one sched::Executor shared by all requests, an LRU of
-// prefix-artifact bundles (parse + reduction + unfolding, tier 1), an
-// in-memory map of rendered verdicts, and the on-disk result cache
-// (tier 3).  Connections arrive over Unix-domain or TCP listeners speaking
+// prepared models (parse + reduction, and the unfolding once a check
+// needs it), an in-memory map of rendered verdicts, and the on-disk result
+// cache (tier 3).  Checks run through the pipeline of svc/pipeline.hpp,
+// the same one stgcheck and stgbatch call.  Connections arrive over Unix-domain or TCP listeners speaking
 // the length-prefixed JSON protocol of svc/frame.hpp + svc/protocol.hpp.
 //
 // Threading model:
@@ -46,15 +47,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/prefix_artifacts.hpp"
 #include "cache/result_cache.hpp"
-#include "core/verifier.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/expo.hpp"
 #include "sched/cancellation.hpp"
 #include "sched/parallel.hpp"
 #include "svc/frame.hpp"
 #include "svc/http.hpp"
+#include "svc/pipeline.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
 #include "util/stopwatch.hpp"
@@ -137,19 +137,6 @@ public:
     [[nodiscard]] obs::Json stats_json();
 
 private:
-    /// One fully rendered verification outcome -- everything a client needs
-    /// to replay stgcheck/stgbatch output byte-for-byte; exactly the value
-    /// persisted to the tier-3 cache.
-    struct Rendered {
-        int exit_code = 2;
-        bool all_hold = false;
-        std::string verdict;       ///< stgbatch one-line verdict
-        std::string report;        ///< stgcheck multi-line report text
-        std::string deadlock_via;  ///< "deadlock via: ..." line, "" when none
-        obs::Json row;             ///< stgbatch report row, minus "file"
-        obs::Json json;            ///< stgcheck --json body (no metrics)
-    };
-
     /// Outcome of one check: either a Rendered result or a protocol error.
     struct Outcome {
         bool ok = false;
@@ -161,17 +148,12 @@ private:
         std::uint64_t model_hash = 0;      ///< fnv1a64 of the model text
     };
 
-    /// Parse + reduction + unfolding of one model text, shared across
-    /// requests (tier-1 reuse across the wire).
+    /// A prepared model shared across requests (tier-1 reuse across the
+    /// wire), keyed by model hash and canonical reduce spec.
     struct Bundle {
         std::uint64_t hash = 0;
-        std::string reduce_spec;                  ///< canonical pipeline spec
-        std::shared_ptr<const stg::Stg> model;    ///< as parsed
-        std::shared_ptr<const stg::Stg> checked;  ///< == model unless reduced
-        stg::reduce::Summary reduction;
-        stg::reduce::WitnessChain chain;          ///< checked -> model
-        std::uint64_t semantic_key = 0;  ///< canonical hash of `checked`
-        cache::PrefixArtifactsPtr artifacts;
+        std::string reduce_spec;
+        std::shared_ptr<const PreparedModel> model;
         std::uint64_t last_used = 0;
     };
 
@@ -194,19 +176,20 @@ private:
     [[nodiscard]] Outcome run_check(const std::string& model_text,
                                     const CheckOptions& copts,
                                     const sched::CancellationToken& deadline);
-    [[nodiscard]] std::shared_ptr<Bundle> get_bundle(
+    [[nodiscard]] std::shared_ptr<const PreparedModel> get_bundle(
         const std::string& model_text, std::uint64_t hash,
-        const stg::reduce::Options& reduce);
-    [[nodiscard]] static Rendered render(const Bundle& bundle,
-                                         const core::VerificationReport& report);
+        const core::VerifyOptions& opts);
 
-    /// Rendered <-> tier-3 cache payload (docs/CACHING.md, tool "stgd").
-    [[nodiscard]] static obs::Json rendered_payload(const Rendered& r);
-    [[nodiscard]] static bool rendered_from_payload(const obs::Json& v,
-                                                    Rendered& out);
+    /// The request's deadline (its deadline_ms, else the server default)
+    /// armed on `source`; an empty token when there is none.
+    [[nodiscard]] sched::CancellationToken arm_deadline(
+        const obs::Json& req, sched::CancellationSource& source) const;
 
-    /// Wait for an inflight slot; false when the deadline fired first.
-    bool admit(const sched::CancellationToken& deadline);
+    /// Wait for an inflight slot.  When the deadline fires first, answer
+    /// the request with deadline_exceeded and return false.
+    bool admit(int fd, std::mutex& write_mu, std::int64_t id,
+               const std::string& trace,
+               const sched::CancellationToken& deadline, const Stopwatch& timer);
     void release();
 
     /// Pull the trace id out of a request frame, or mint one when absent or

@@ -70,13 +70,6 @@ TEST(ClauseStore, UnrestrictedCutsReplayUnderConflictFree) {
     EXPECT_TRUE(store.cuts_for(cache::ClauseStore::kEqual, true).test(6));
 }
 
-TEST(ClauseStore, UscCertificate) {
-    cache::ClauseStore store(4);
-    EXPECT_FALSE(store.usc_holds());
-    store.record_usc_holds();
-    EXPECT_TRUE(store.usc_holds());
-}
-
 TEST(ClauseStore, SharedStoreReducesSiblingNodesWithoutChangingOutcome) {
     // An exhaustive reject-all search proves every first-difference subtree
     // leaf-free; an identical sibling replaying those cuts must reach the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "stg/state_checks.hpp"
 #include "stg/state_graph.hpp"
@@ -9,6 +12,32 @@
 
 namespace stgcc::core {
 namespace {
+
+// Both keep a pointer to their net: a temporary must not compile.
+static_assert(!std::is_constructible_v<UnfoldingChecker, stg::Stg&&>);
+static_assert(!std::is_constructible_v<UnfoldingChecker, stg::Stg&&, unf::Prefix>);
+static_assert(!std::is_constructible_v<cache::PrefixArtifacts, stg::Stg&&>);
+static_assert(
+    !std::is_constructible_v<cache::PrefixArtifacts, stg::Stg&&, unf::Prefix>);
+static_assert(std::is_constructible_v<UnfoldingChecker, const stg::Stg&>);
+
+TEST(Checkers, UscHoldsSettlesCscWithoutLearnedClauses) {
+    // USC holding proves CSC; the checker itself remembers it, so the CSC
+    // check does not search even with the clause store switched off.
+    const stg::Stg model = stg::load_astg_file(std::string(STGCC_MODELS_DIR) +
+                                               "/cf_asym_a_csc.g");
+    UnfoldingChecker checker(model);
+    SearchOptions off;
+    off.use_learned_clauses = false;
+    ASSERT_TRUE(checker.check_usc(off).holds);
+    const auto csc = checker.check_csc(off);
+    EXPECT_TRUE(csc.holds);
+    EXPECT_EQ(csc.stats.search_nodes, 0u);
+    sched::Executor ex(2);
+    const auto fanout = checker.check_csc(off, ex);
+    EXPECT_TRUE(fanout.holds);
+    EXPECT_EQ(fanout.stats.search_nodes, 0u);
+}
 
 TEST(Checkers, VmeUscConflictWithSoundWitness) {
     auto model = stg::bench::vme_bus();

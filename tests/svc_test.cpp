@@ -25,6 +25,7 @@
 #include "obs/json.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
+#include "stg/builder.hpp"
 #include "svc/client.hpp"
 #include "svc/frame.hpp"
 #include "svc/protocol.hpp"
@@ -830,6 +831,125 @@ TEST(SvcDaemonBinary, SigtermDrainExitsZeroAndServesClients) {
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->find("requests")->find("served")->as_uint(), 2u);
     EXPECT_EQ(parsed->find("cache")->find("memory_hits")->as_uint(), 1u);
+    fs::remove_all(work);
+}
+
+TEST_F(SvcServerTest, PersistencyDecidesTheRowStatus) {
+    // The race of Persistency.OutputDisabledByInputDetected (input c+
+    // disables output x+), and a cyclic variant on which USC and CSC hold,
+    // so that persistency alone decides.  A persistency check that fails
+    // must give a "violated" row, counted as violated in the batch summary,
+    // like the response's own all_hold.
+    stg::StgBuilder race("race");
+    race.input("a").input("c").output("x");
+    race.place("p", 1);
+    race.place("pick");
+    race.arc("p", "a+").arc("a+", "pick");
+    race.arc("pick", "x+").arc("pick", "c+");
+    race.arc("x+", "x-").arc("c+", "c-");
+    race.place("end1").place("end2");
+    race.arc("x-", "end1").arc("c-", "end2");
+    stg::StgBuilder cyclic("race-cycle");
+    cyclic.input("a").input("c").output("x");
+    cyclic.place("p", 1);
+    cyclic.place("pick");
+    cyclic.arc("p", "a+").arc("a+", "pick");
+    cyclic.arc("pick", "x+").arc("pick", "c+");
+    cyclic.chain({"x+", "a-/1", "x-"}).chain({"c+", "a-/2", "c-"});
+    cyclic.arc("x-", "p").arc("c-", "p");
+    start();
+    svc::CheckOptions copts;
+    copts.normalcy = false;
+    copts.persistency = true;
+    svc::Client client = connect(server_->bound()[0]);
+    std::string error;
+    obs::Json models = obs::Json::array();
+    std::int64_t id = 1;
+    for (const stg::Stg& model : {race.build(), cyclic.build()}) {
+        SCOPED_TRACE(model.name());
+        const std::string text = stg::write_astg_string(model);
+        auto resp = client.call(check_request(id++, text, copts), error);
+        ASSERT_TRUE(resp.has_value()) << error;
+        ASSERT_TRUE(svc::response_ok(*resp)) << svc::response_error(*resp);
+        EXPECT_FALSE(resp->find("all_hold")->as_bool());
+        EXPECT_EQ(resp->find("exit")->as_int(), 1);
+        EXPECT_NE(resp->find("verdict")->as_string().find("persistency:VIOLATED"),
+                  std::string::npos);
+        EXPECT_EQ(resp->find("row")->find("status")->as_string(), "violated");
+        models.push(obs::Json::object()
+                        .set("index", models.size())
+                        .set("model", text));
+    }
+    ASSERT_TRUE(client.send(obs::Json::object()
+                                .set("op", "batch")
+                                .set("id", id)
+                                .set("models", std::move(models))
+                                .set("options", copts.to_json()),
+                            error));
+    while (true) {
+        auto frame = client.recv(error);
+        ASSERT_TRUE(frame.has_value()) << error;
+        ASSERT_TRUE(svc::response_ok(*frame)) << svc::response_error(*frame);
+        if (frame->find("event")->as_string() == "done") {
+            const obs::Json* summary = frame->find("summary");
+            EXPECT_EQ(summary->find("ok")->as_uint(), 0u);
+            EXPECT_EQ(summary->find("violated")->as_uint(), 2u);
+            break;
+        }
+        EXPECT_EQ(frame->find("row")->find("status")->as_string(), "violated");
+    }
+}
+
+TEST(SvcSharedCache, StgcheckEntriesServeStgdAndStgbatch) {
+    // One rendered-tier namespace for all three tools: a verdict stgcheck
+    // stored answers stgd from disk and counts as a stgbatch cache hit.
+    const fs::path work = fs::path(::testing::TempDir()) / "stgcc_svc_shared";
+    fs::remove_all(work);
+    fs::create_directories(work);
+    const std::string cache_dir = (work / "cache").string();
+    const std::string model = std::string(STGCC_MODELS_DIR) + "/vme.g";
+    const RunResult check = run_shell(std::string(STGCC_STGCHECK_BIN) + " " +
+                                      model + " --cache-dir " + cache_dir);
+    EXPECT_EQ(check.exit_code, 1) << check.output;
+
+    std::string error;
+    svc::ServerConfig cfg;
+    cfg.listen.push_back(
+        *svc::parse_endpoint("unix:" + (work / "d.sock").string(), error));
+    cfg.jobs = 2;
+    cfg.cache_dir = cache_dir;
+    svc::Server server(std::move(cfg));
+    ASSERT_TRUE(server.start(error)) << error;
+    std::thread runner([&] { (void)server.run(); });
+    {
+        svc::Client client;
+        ASSERT_TRUE(client.connect(server.bound()[0], error)) << error;
+        auto resp = client.call(check_request(1, read_model_file(model)), error);
+        ASSERT_TRUE(resp.has_value()) << error;
+        ASSERT_TRUE(svc::response_ok(*resp)) << svc::response_error(*resp);
+        EXPECT_EQ(resp->find("cached")->as_string(), "disk");
+        EXPECT_EQ(resp->find("exit")->as_int(), 1);
+    }
+    server.request_shutdown();
+    runner.join();
+
+    {
+        std::ofstream manifest(work / "corpus.txt");
+        manifest << model << "\n";
+    }
+    const std::string json = (work / "batch.json").string();
+    const RunResult batch = run_shell(
+        std::string(STGCC_STGBATCH_BIN) + " " + (work / "corpus.txt").string() +
+        " --quiet --cache-dir " + cache_dir + " --json " + json);
+    EXPECT_EQ(batch.exit_code, 1) << batch.output;
+    const auto bytes = cache::read_file_bytes(json);
+    ASSERT_TRUE(bytes.has_value());
+    const auto report = obs::Json::parse(*bytes);
+    ASSERT_TRUE(report.has_value());
+    const obs::Json* hits = report->find("body")->find("metrics")->find(
+        "counters")->find("cache.result.hits");
+    ASSERT_NE(hits, nullptr);
+    EXPECT_GE(hits->as_uint(), 1u);
     fs::remove_all(work);
 }
 

@@ -4,15 +4,17 @@
 // The manifest is either a directory (every *.g file, sorted by name) or a
 // text file with one model path per line (relative paths resolve against
 // the manifest's directory; '#' starts a comment).  Models are verified
-// model-parallel: each model runs a full serial verify_stg pipeline, and
-// the pool spreads models over workers.  One result line is streamed per
-// model as it finishes; the aggregate JSON report (--json) lists models in
-// manifest order, so verdicts are byte-stable at any --jobs value.
+// model-parallel through the shared pipeline (svc/pipeline.hpp), and the
+// pool spreads models and each model's inner checks over the workers.  One
+// result line is streamed per model as it finishes; the aggregate JSON
+// report (--json) lists models in manifest order, so verdicts are
+// byte-stable at any --jobs value.
 //
 // Caching (docs/CACHING.md): with a cache directory configured
-// (--cache-dir or $STGCC_CACHE_DIR), each model's verdict line and report
-// row are stored keyed by the model file's content hash and the checker
-// options; a warm corpus run replays hits without re-verifying.
+// (--cache-dir or $STGCC_CACHE_DIR), each model's rendered verdict is
+// stored keyed by the model file's content hash and the checker options,
+// and its report keyed by the reduced net; a warm corpus run replays hits
+// without re-verifying, and entries written by stgcheck or stgd hit too.
 // --no-cache disables the result cache and learned-clause sharing.
 //
 // Exit codes: 0 = every model satisfies all checked properties,
@@ -30,16 +32,14 @@
 
 #include "cache/clause_store.hpp"
 #include "cache/result_cache.hpp"
-#include "core/verifier.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "sched/parallel.hpp"
 #include "sched/thread_pool.hpp"
-#include "stg/astg.hpp"
 #include "svc/client.hpp"
-#include "svc/protocol.hpp"
+#include "svc/pipeline.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -79,52 +79,10 @@ void print_usage(std::ostream& out) {
            "            1 = conflict found, 2 = usage/IO error\n";
 }
 
-/// True when every checked property holds on a verified model.
-bool report_all_hold(const core::VerificationReport& r) {
-    return r.consistent && r.usc.holds && r.csc.holds &&
-           (!r.normalcy_checked || r.normalcy.normal) &&
-           (!r.deadlock_checked || r.deadlock_free);
-}
-
-std::string report_verdict_line(const core::VerificationReport& r) {
-    if (!r.consistent)
-        return "inconsistent (" + r.inconsistency_reason + ")";
-    std::string out;
-    out += r.usc.holds ? "USC:ok" : "USC:VIOLATED";
-    out += r.csc.holds ? " CSC:ok" : " CSC:VIOLATED";
-    if (r.normalcy_checked)
-        out += r.normalcy.normal ? " normalcy:ok" : " normalcy:VIOLATED";
-    if (r.deadlock_checked)
-        out += r.deadlock_free ? " deadlock:none" : " deadlock:REACHABLE";
-    return out;
-}
-
-/// Aggregate-report row for a verified model, without the volatile
-/// "seconds" field -- exactly what the result cache stores; the caller
-/// appends "seconds" (kept last in the row for that reason).
-obs::Json report_row(const std::string& file, const std::string& name,
-                     const core::VerificationReport& r) {
-    obs::Json row = obs::Json::object();
-    row.set("file", file);
-    row.set("name", name);
-    row.set("status", report_all_hold(r) ? "ok" : "violated");
-    obs::Json verdicts = obs::Json::object();
-    verdicts.set("consistent", r.consistent);
-    if (r.consistent) {
-        verdicts.set("usc", r.usc.holds);
-        verdicts.set("csc", r.csc.holds);
-        if (r.normalcy_checked) verdicts.set("normalcy", r.normalcy.normal);
-        if (r.deadlock_checked)
-            verdicts.set("deadlock_free", r.deadlock_free);
-    }
-    row.set("verdicts", std::move(verdicts));
-    row.set("prefix", obs::Json::object()
-                          .set("conditions", r.prefix.conditions)
-                          .set("events", r.prefix.events)
-                          .set("cutoffs", r.prefix.cutoffs));
-    if (r.reduction.rounds > 0)
-        row.set("reduction", core::reduction_json(r.reduction));
-    return row;
+/// A content-addressed report row labelled with the manifest path as its
+/// leading member.
+obs::Json labelled_row(const std::string& file, const obs::Json& row) {
+    return obs::Json::object().set("file", file).merge(row);
 }
 
 /// Everything recorded about one model, merged in manifest order.  Holds
@@ -135,7 +93,6 @@ struct ModelResult {
     std::string file;       ///< path as listed in the manifest
     bool loaded = false;
     bool all_hold = false;
-    bool from_cache = false;
     std::string error;      ///< load/verify failure, when !loaded
     std::string verdict;    ///< streamed verdict line
     obs::Json row;          ///< aggregate-report row (seconds appended later)
@@ -170,6 +127,45 @@ obs::Json reduction_summary(const std::vector<ModelResult>& results) {
         .set("transitions_removed", transitions)
         .set("remaining_dummies", remaining);
 }
+
+/// Record a model that failed to load or verify.  Failures are never
+/// cached: the message may depend on environment state (permissions,
+/// limits).
+void fail(ModelResult& r, const std::string& file, std::string error) {
+    r.error = std::move(error);
+    r.verdict = "ERROR (" + r.error + ")";
+    r.row = obs::Json::object()
+                .set("file", file)
+                .set("status", "error")
+                .set("error", r.error);
+}
+
+/// Corpus outcome counts; the exit code follows from them.
+struct Tally {
+    std::size_t ok = 0, violated = 0, errors = 0;
+
+    explicit Tally(const std::vector<ModelResult>& results) {
+        for (const ModelResult& r : results)
+            ++(!r.loaded ? errors : r.all_hold ? ok : violated);
+    }
+    [[nodiscard]] int exit_code() const {
+        return errors > 0 ? 2 : violated > 0 ? 1 : 0;
+    }
+    /// The aggregate report's "summary" member.
+    [[nodiscard]] obs::Json summary(const std::vector<ModelResult>& results,
+                                    double seconds) const {
+        obs::Json out = obs::Json::object()
+                            .set("total", results.size())
+                            .set("ok", ok)
+                            .set("violated", violated)
+                            .set("errors", errors)
+                            .set("seconds", seconds);
+        obs::Json red = reduction_summary(results);
+        if (red.find("models_reduced")->as_int() > 0)
+            out.set("reduction", std::move(red));
+        return out;
+    }
+};
 
 std::vector<std::string> collect_manifest(const std::string& arg,
                                           std::string& error) {
@@ -245,12 +241,7 @@ int run_connected(const char* connect, const char* manifest,
         const auto bytes = cache::read_file_bytes(files[i]);
         if (!bytes) {
             // Same shape a local load failure produces; never sent.
-            r.error = "cannot open " + files[i];
-            r.verdict = "ERROR (" + r.error + ")";
-            r.row = obs::Json::object()
-                        .set("file", files[i])
-                        .set("status", "error")
-                        .set("error", r.error);
+            fail(r, files[i], "cannot open " + files[i]);
             progress(i);
             continue;
         }
@@ -298,12 +289,7 @@ int run_connected(const char* connect, const char* manifest,
             ModelResult& r = results[i];
             if (const obs::Json* err = frame->find("error")) {
                 const obs::Json* msg = err->find("message");
-                r.error = msg ? msg->as_string() : "server error";
-                r.verdict = "ERROR (" + r.error + ")";
-                r.row = obs::Json::object()
-                            .set("file", files[i])
-                            .set("status", "error")
-                            .set("error", r.error);
+                fail(r, files[i], msg ? msg->as_string() : "server error");
             } else {
                 const obs::Json* verdict = frame->find("verdict");
                 const obs::Json* all_hold = frame->find("all_hold");
@@ -316,37 +302,19 @@ int run_connected(const char* connect, const char* manifest,
                 r.loaded = true;
                 r.verdict = verdict->as_string();
                 r.all_hold = all_hold->as_bool();
-                const obs::Json* cached = frame->find("cached");
-                r.from_cache =
-                    cached && cached->kind() == obs::Json::Kind::String;
                 if (const obs::Json* s = frame->find("seconds"))
                     r.seconds = s->as_double();
-                // The server's row is content-addressed (no path); restore
-                // the manifest path as the leading member, like a local run.
-                obs::Json merged = obs::Json::object().set("file", files[i]);
-                for (std::size_t m = 0; m < row->size(); ++m) {
-                    const auto& [key, value] = row->member(m);
-                    merged.set(key, value);
-                }
-                r.row = std::move(merged);
+                r.row = labelled_row(files[i], *row);
             }
             progress(i);
         }
     }
     const double total_seconds = total_timer.seconds();
 
-    std::size_t ok = 0, violated = 0, errors = 0;
-    for (const ModelResult& r : results) {
-        if (!r.loaded)
-            ++errors;
-        else if (r.all_hold)
-            ++ok;
-        else
-            ++violated;
-    }
-    std::cout << "stgbatch: " << ok << " ok, " << violated << " violated, "
-              << errors << " errors in " << total_seconds << " s (connect "
-              << connect << ")\n";
+    const Tally tally(results);
+    std::cout << "stgbatch: " << tally.ok << " ok, " << tally.violated
+              << " violated, " << tally.errors << " errors in "
+              << total_seconds << " s (connect " << connect << ")\n";
 
     if (json_path) {
         obs::Json rows = obs::Json::array();
@@ -359,16 +327,7 @@ int run_connected(const char* connect, const char* manifest,
         body.set("manifest", manifest);
         body.set("jobs", 0);  // remote pool; volatile key, stripped anyway
         body.set("models", std::move(rows));
-        obs::Json summary = obs::Json::object()
-                                .set("total", results.size())
-                                .set("ok", ok)
-                                .set("violated", violated)
-                                .set("errors", errors)
-                                .set("seconds", total_seconds);
-        obs::Json red = reduction_summary(results);
-        if (red.find("models_reduced")->as_int() > 0)
-            summary.set("reduction", std::move(red));
-        body.set("summary", std::move(summary));
+        body.set("summary", tally.summary(results, total_seconds));
         if (!obs::save_json(json_path,
                             obs::make_report("stgbatch", std::move(body)))) {
             std::cerr << "error: cannot write " << json_path << "\n";
@@ -376,8 +335,7 @@ int run_connected(const char* connect, const char* manifest,
         }
         if (!quiet) std::cout << "report written to " << json_path << "\n";
     }
-    if (errors > 0) return 2;
-    return violated > 0 ? 1 : 0;
+    return tally.exit_code();
 }
 
 }  // namespace
@@ -463,23 +421,20 @@ int main(int argc, char** argv) {
         std::cerr << "error: " << manifest_error << "\n";
         return 2;
     }
-    // One options signature shared with stgcheck and stgd: a verdict cached
-    // by any of them is warm for the others (docs/CACHING.md).
+    // The same options, pipeline and cache entries as stgcheck and stgd: a
+    // verdict cached by any of them is warm for the others
+    // (docs/CACHING.md).
     svc::CheckOptions copts;
     copts.normalcy = normalcy;
     copts.reduce = reduce_spec;
     copts.deadlock = deadlock;
     copts.use_cache = use_cache;
-    core::VerifyOptions vopts;
-    vopts.check_normalcy = normalcy;
     try {
-        vopts.reduce = stg::reduce::Options::parse(reduce_spec);
+        (void)svc::verify_options(copts);
     } catch (const std::exception& ex) {
         std::cerr << "bad --reduce value: " << ex.what() << "\n";
         return 2;
     }
-    vopts.check_deadlock = deadlock;
-    vopts.search.use_learned_clauses = use_cache;
 
     if (connect) {
         if (trace_path) {
@@ -501,7 +456,6 @@ int main(int argc, char** argv) {
             cache_root = env;
     }
     const cache::ResultCache rcache(cache_root);
-    const std::string options_sig = copts.signature();
 
     sched::Executor ex(jobs);
     if (!quiet)
@@ -527,53 +481,17 @@ int main(int argc, char** argv) {
         ModelResult& r = results[i];
         r.file = files[i];
         Stopwatch timer;
-        std::uint64_t content_hash = 0;
-        bool hashed = false;
-        if (rcache.enabled()) {
-            if (const auto bytes = cache::read_file_bytes(files[i])) {
-                content_hash = cache::fnv1a64(*bytes);
-                hashed = true;
-                if (const auto hit =
-                        rcache.load("stgbatch", content_hash, options_sig)) {
-                    const obs::Json* verdict = hit->find("verdict");
-                    const obs::Json* all_hold = hit->find("all_hold");
-                    const obs::Json* row = hit->find("row");
-                    if (verdict && all_hold && row) {
-                        r.loaded = true;
-                        r.from_cache = true;
-                        r.verdict = verdict->as_string();
-                        r.all_hold = all_hold->as_bool();
-                        r.row = *row;
-                    }
-                }
-            }
-        }
-        if (!r.from_cache) {
-            try {
-                stg::Stg model = stg::load_astg_file(files[i]);
-                const std::string name = model.name();
-                auto report = core::verify_stg(model, vopts, ex);
-                r.loaded = true;
-                r.cuts = report.cuts;
-                r.all_hold = report_all_hold(report);
-                r.verdict = report_verdict_line(report);
-                r.row = report_row(files[i], name, report);
-                if (hashed)
-                    rcache.store("stgbatch", content_hash, options_sig,
-                                 obs::Json::object()
-                                     .set("verdict", r.verdict)
-                                     .set("all_hold", r.all_hold)
-                                     .set("row", r.row));
-            } catch (const std::exception& e) {
-                // Load/verify failures are never cached: the message may
-                // depend on environment state (permissions, limits).
-                r.error = e.what();
-                r.verdict = "ERROR (" + r.error + ")";
-                r.row = obs::Json::object()
-                            .set("file", files[i])
-                            .set("status", "error")
-                            .set("error", r.error);
-            }
+        try {
+            const auto bytes = cache::read_file_bytes(files[i]);
+            if (!bytes) throw ModelError("cannot open ASTG file: " + files[i]);
+            const svc::ModelCheck mc = svc::check_model(*bytes, copts, rcache, &ex);
+            r.loaded = true;
+            r.cuts = mc.report.cuts;
+            r.all_hold = mc.rendered.all_hold;
+            r.verdict = mc.rendered.verdict;
+            r.row = labelled_row(files[i], mc.rendered.row);
+        } catch (const std::exception& e) {
+            fail(r, files[i], e.what());
         }
         r.seconds = timer.seconds();
         // Queue-delay attribution: nested tasks are quiescent here (the
@@ -603,18 +521,10 @@ int main(int argc, char** argv) {
     });
     const double total_seconds = total_timer.seconds();
 
-    std::size_t ok = 0, violated = 0, errors = 0;
-    for (const ModelResult& r : results) {
-        if (!r.loaded)
-            ++errors;
-        else if (r.all_hold)
-            ++ok;
-        else
-            ++violated;
-    }
-    std::cout << "stgbatch: " << ok << " ok, " << violated << " violated, "
-              << errors << " errors in " << total_seconds << " s (jobs="
-              << ex.jobs() << ")\n";
+    const Tally tally(results);
+    std::cout << "stgbatch: " << tally.ok << " ok, " << tally.violated
+              << " violated, " << tally.errors << " errors in "
+              << total_seconds << " s (jobs=" << ex.jobs() << ")\n";
 
     if (json_path) {
         obs::Json rows = obs::Json::array();
@@ -639,16 +549,7 @@ int main(int argc, char** argv) {
         body.set("manifest", manifest);
         body.set("jobs", ex.jobs());
         body.set("models", std::move(rows));
-        obs::Json summary = obs::Json::object()
-                                .set("total", results.size())
-                                .set("ok", ok)
-                                .set("violated", violated)
-                                .set("errors", errors)
-                                .set("seconds", total_seconds);
-        obs::Json red = reduction_summary(results);
-        if (red.find("models_reduced")->as_int() > 0)
-            summary.set("reduction", std::move(red));
-        body.set("summary", std::move(summary));
+        body.set("summary", tally.summary(results, total_seconds));
         obs::Json sched_stats = obs::Json::object();
         sched_stats.set("workers", ex.jobs());
         sched_stats.set("wall_ns",
@@ -684,6 +585,5 @@ int main(int argc, char** argv) {
         if (!quiet) std::cout << "trace written to " << trace_path << "\n";
     }
 
-    if (errors > 0) return 2;
-    return violated > 0 ? 1 : 0;
+    return tally.exit_code();
 }
