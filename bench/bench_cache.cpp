@@ -5,10 +5,11 @@
 //    hash + load only).  The acceptance bar is a >= 1.3x warm speedup;
 //    in practice hits skip verification entirely and the speedup is
 //    orders of magnitude.
-//  * tier 2 -- learned-clause store: total per-signal CSC fan-out search
-//    nodes with and without the shared store on the conflict-free
-//    instances (exhaustive searches, where first-difference cuts recorded
-//    by one signal's instance prune every later sibling).
+//  * tier 2 -- learned-clause store: total search nodes of the sequence the
+//    pipeline runs on one checker (USC, CSC, normalcy) with and without
+//    the shared store on the conflict-free instances (exhaustive searches,
+//    where a first-difference cut recorded by one solve prunes the later
+//    ones).
 //  * tier 2 certificates: the USC->CSC handoff, where an exhaustive clean
 //    USC pass answers the whole CSC phase without a single search node.
 //
@@ -26,7 +27,6 @@
 #include "cache/result_cache.hpp"
 #include "core/checkers.hpp"
 #include "core/verifier.hpp"
-#include "sched/parallel.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "util/stopwatch.hpp"
@@ -106,8 +106,8 @@ int main() {
                        .set("verdicts_identical",
                             cold_verdicts == warm_verdicts));
 
-    // --- tier 2: clause replay across the per-signal CSC fan-out ---------
-    std::printf("Learned-clause store, per-signal CSC fan-out "
+    // --- tier 2: clause replay along the pipeline's checks ---------------
+    std::printf("Learned-clause store, USC -> CSC -> normalcy on one checker "
                 "(exhaustive conflict-free searches)\n");
     benchutil::rule(72);
     std::printf("  %-24s %14s %14s %10s\n", "model", "nodes(off)",
@@ -119,30 +119,37 @@ int main() {
         off.use_learned_clauses = false;
         if (probe.check_usc(off).holds) cf_models.push_back(named);
     }
+    struct Sequence {
+        std::size_t nodes = 0;
+        std::vector<bool> verdicts;
+    };
+    const auto run_sequence = [](const stg::Stg& stg, core::SearchOptions opts) {
+        core::UnfoldingChecker checker(stg);
+        const auto usc = checker.check_usc(opts);
+        const auto csc = checker.check_csc(opts);
+        const auto normalcy = checker.check_normalcy(opts);
+        return Sequence{usc.stats.search_nodes + csc.stats.search_nodes +
+                            normalcy.stats.search_nodes,
+                        {usc.holds, csc.holds, normalcy.normal}};
+    };
     for (const auto& named : cf_models) {
-        sched::Executor serial(1);
         core::SearchOptions off;
         off.use_learned_clauses = false;
-        core::UnfoldingChecker plain(named.stg);
-        const auto r_off = plain.check_csc(off, serial);
-
-        core::UnfoldingChecker cached(named.stg);
-        const auto r_on = cached.check_csc({}, serial);
-
-        const bool same = r_off.holds == r_on.holds;
+        const Sequence r_off = run_sequence(named.stg, off);
+        const Sequence r_on = run_sequence(named.stg, {});
+        const bool same = r_off.verdicts == r_on.verdicts;
         const double reduction =
-            r_off.stats.search_nodes > 0
-                ? 1.0 - static_cast<double>(r_on.stats.search_nodes) /
-                            static_cast<double>(r_off.stats.search_nodes)
-                : 0.0;
+            r_off.nodes > 0 ? 1.0 - static_cast<double>(r_on.nodes) /
+                                        static_cast<double>(r_off.nodes)
+                            : 0.0;
         std::printf("  %-24s %14zu %14zu %9.1f%%%s\n", named.name.c_str(),
-                    r_off.stats.search_nodes, r_on.stats.search_nodes,
-                    100.0 * reduction, same ? "" : "  VERDICT MISMATCH");
+                    r_off.nodes, r_on.nodes, 100.0 * reduction,
+                    same ? "" : "  VERDICT MISMATCH");
         report.add_row(obs::Json::object()
-                           .set("benchmark", "clause_store_csc_fanout")
+                           .set("benchmark", "clause_store_pipeline")
                            .set("model", named.name)
-                           .set("nodes_off", r_off.stats.search_nodes)
-                           .set("nodes_on", r_on.stats.search_nodes)
+                           .set("nodes_off", r_off.nodes)
+                           .set("nodes_on", r_on.nodes)
                            .set("node_reduction", reduction)
                            .set("verdicts_identical", same));
     }

@@ -9,9 +9,9 @@
 //  * branch_select -- one CompatKernel::next_unassigned() word scan, on the
 //    state halfway down a greedy descent (the lowest unassigned variable
 //    sits mid-vector, so the scan crosses words).
-//  * leaf_usc / leaf_csc / leaf_csc_signal / leaf_normalcy -- one leaf
-//    predicate of each check (core::LeafPredicates: place sets, then the
-//    marking, Out-set, single-signal or Nxt comparison), cycling over the
+//  * leaf_usc / leaf_csc / leaf_normalcy -- one leaf predicate of each
+//    check (core::LeafPredicates: place sets, then the marking, Out-set or
+//    Nxt comparison), cycling over the
 //    first kLeaves leaves of a real search (Equal relation; LessEq for
 //    normalcy).
 //
@@ -142,13 +142,6 @@ struct Fixture {
                                            return leaf->out_sets_differ(outputs);
                                        },
                                        false)});
-        out.push_back({"leaf_csc_signal",
-                       leaf_op(
-                           [this](const BitVec& ca, const BitVec& cb) {
-                               leaf->load(ca, cb);
-                               return leaf->enabled_differs(outputs.front());
-                           },
-                           false)});
         out.push_back({"leaf_normalcy",
                        leaf_op(
                            [this](const BitVec& ca, const BitVec& cb) {

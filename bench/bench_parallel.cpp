@@ -1,9 +1,7 @@
 // Parallel-runtime benchmark: corpus wall-clock of the Table 1 suite at
 // jobs = 1/2/4/8 (model-level + within-model parallelism on one shared
-// pool, exactly the stgbatch configuration), the per-signal CSC fan-out
-// speedup on the largest conflict-free instances (the exhaustive searches
-// that dominate checking time), and the single-model speedup of
-// verify_stg on each conflict-free model at jobs 4, where only the
+// pool, exactly the stgbatch configuration), and the single-model speedup
+// of verify_stg on each conflict-free model at jobs 4, where only the
 // first-difference subproblems of its own searches can spread over the
 // pool.  Every time is the best of three runs.  Writes BENCH_parallel.json.
 //
@@ -16,7 +14,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/checkers.hpp"
 #include "core/verifier.hpp"
 #include "sched/parallel.hpp"
 #include "stg/benchmarks.hpp"
@@ -32,8 +29,8 @@ struct Verdicts {
 };
 
 /// Verify the whole suite through one shared executor (model-level
-/// parallel_for; each verify's phases and per-signal instances reuse the
-/// same pool).  Returns wall-clock seconds and the verdict vector.
+/// parallel_for; each verify's phases and subproblems reuse the same
+/// pool).  Returns wall-clock seconds and the verdict vector.
 double run_corpus(const std::vector<stg::bench::NamedBenchmark>& suite,
                   unsigned jobs, Verdicts& verdicts) {
     sched::Executor ex(jobs);
@@ -97,49 +94,6 @@ int main() {
                            .set("jobs", jobs)
                            .set("models", suite.size())
                            .set("seconds", seconds)
-                           .set("speedup", speedup));
-    }
-
-    std::printf("\nPer-signal CSC fan-out on conflict-free instances "
-                "(exhaustive searches):\n\n");
-    std::printf("%-24s %8s %12s %12s %10s\n", "model", "signals", "jobs=1",
-                "jobs=8", "speedup");
-    benchutil::rule(72);
-    for (const auto& entry : suite) {
-        if (!entry.expect_conflict_free) continue;
-        const std::size_t signals =
-            entry.stg.circuit_driven_signals().size();
-        // A fresh checker per run, so no run replays cuts another learned.
-        const auto time_csc = [&](sched::Executor& ex,
-                                  stg::CodingCheckResult& result) {
-            return best_of_three([&] {
-                core::UnfoldingChecker checker(entry.stg);
-                Stopwatch timer;
-                result = checker.check_csc({}, ex);
-                return timer.seconds();
-            });
-        };
-        sched::Executor serial(1);
-        sched::Executor pool(8);
-        stg::CodingCheckResult r1, r8;
-        const double s1 = time_csc(serial, r1);
-        const double s8 = time_csc(pool, r8);
-
-        if (r1.holds != r8.holds) {
-            std::fprintf(stderr, "FATAL: CSC verdict differs on %s\n",
-                         entry.name.c_str());
-            return 1;
-        }
-        const double speedup = s8 > 0 ? s1 / s8 : 1.0;
-        std::printf("%-24s %8zu %12s %12s %9.2fx\n", entry.name.c_str(),
-                    signals, benchutil::fmt_time(s1).c_str(),
-                    benchutil::fmt_time(s8).c_str(), speedup);
-        report.add_row(obs::Json::object()
-                           .set("section", "csc_fanout")
-                           .set("model", entry.name)
-                           .set("signals", signals)
-                           .set("seconds_jobs1", s1)
-                           .set("seconds_jobs8", s8)
                            .set("speedup", speedup));
     }
 

@@ -8,8 +8,8 @@
 // fact about the *linear* system only, independent of the caller's leaf
 // predicate.  The store records these first-difference cuts per
 // (code relation, conflict-free mode) and replays them into sibling
-// instances (the per-signal CSC fan-out, the USC -> CSC phase handoff, the
-// two normalcy orientations), which then skip the subtree outright.
+// instances (the USC -> CSC phase handoff, the two normalcy orientations),
+// which then skip the subtree outright.
 //
 // Soundness of replay, and hence determinism of verdicts and witnesses
 // (cache on vs off): a replayed cut removes only subtrees that contain no

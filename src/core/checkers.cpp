@@ -3,6 +3,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -71,106 +72,63 @@ stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts,
     if (outcome.found) {
         result.holds = false;
         result.witness = make_witness(outcome.ca, outcome.cb);
-    } else if (!outcome.cancelled) {
-        usc_holds_.store(true, std::memory_order_relaxed);
+    }
+    if (!outcome.cancelled) {
+        std::lock_guard<std::mutex> lock(usc_mu_);
+        if (!usc_) usc_ = UscResult{result, opts.use_conflict_free_optimisation};
     }
     return result;
 }
 
 stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts) const {
+    sched::Executor serial(1);
+    return check_csc(opts, serial);
+}
+
+stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
+                                                   sched::Executor& ex) const {
     obs::Span span("solve.csc");
-    if (usc_holds_.load(std::memory_order_relaxed)) {
-        // USC holds, so CSC does: the verdict is forced and the search is
-        // skipped (stats stay zero).
+    const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
+    if (outputs.empty()) return {};  // no circuit-driven signal: holds
+    std::optional<UscResult> usc;
+    {
+        std::lock_guard<std::mutex> lock(usc_mu_);
+        usc = usc_;
+    }
+    if (usc && usc->result.holds) {
         obs::counter("cache.certificates.csc_from_usc").add();
         span.attr("certificate", "usc_holds");
         return {};
     }
-    const SearchOptions local = with_clause_store(opts);
-    CompatSolver solver(*problem_, local);
-    LeafPredicates leaf(*artifacts_);
-    const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
-    auto outcome = solver.solve(
-        CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
-            // CSC separating predicate: enabled-output sets must differ
-            // (equal codes with different Out sets imply distinct markings).
-            leaf.load(ca, cb);
-            return leaf.out_sets_differ(outputs);
-        });
+    // The enumeration order, and with it the first pair, depends on the
+    // conflict-free optimisation, so the witness carries over only from a
+    // USC solve that ran with the same setting.
+    if (usc && usc->conflict_free_optimisation ==
+                   opts.use_conflict_free_optimisation &&
+        usc->result.witness->is_csc()) {
+        obs::counter("cache.certificates.csc_from_usc").add();
+        span.attr("certificate", "usc_witness");
+        stg::CodingCheckResult result;
+        result.holds = false;
+        result.witness = usc->result.witness;
+        return result;
+    }
+    CompatSolver solver(*problem_, with_clause_store(opts));
+    auto outcome = solver.solve(CodeRelation::Equal, ex, [&] {
+        return LanePredicate{
+            [&outputs, leaf = LeafPredicates(*artifacts_)](
+                const BitVec& ca, const BitVec& cb) mutable {
+                leaf.load(ca, cb);
+                return leaf.out_sets_differ(outputs);
+            },
+            {}};
+    });
     stg::CodingCheckResult result;
     result.stats = outcome.stats;
     if (outcome.found) {
         result.holds = false;
         result.witness = make_witness(outcome.ca, outcome.cb);
     }
-    return result;
-}
-
-stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
-                                                   sched::Executor& ex) const {
-    obs::Span span("solve.csc");
-    span.attr("decomposition", "per_signal");
-    const SearchOptions shared = with_clause_store(opts);
-    const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
-    stg::CodingCheckResult result;
-    if (outputs.empty()) return result;  // no circuit-driven signal: holds
-    if (usc_holds_.load(std::memory_order_relaxed)) {
-        obs::counter("cache.certificates.csc_from_usc").add();
-        span.attr("certificate", "usc_holds");
-        return result;
-    }
-
-    // Stats are accumulated across all per-signal instances (including
-    // cancelled ones), so totals depend on the schedule -- verdicts and
-    // witnesses do not (see find_first).
-    std::mutex stats_mu;
-    stg::CheckStats total;
-
-    auto hit = sched::find_first<SearchOutcome>(
-        ex, outputs.size(),
-        [&](std::size_t i, std::size_t, const sched::CancellationToken& token)
-            -> std::optional<SearchOutcome> {
-            const stg::SignalId z = outputs[i];
-            obs::Span task_span("solve.csc.signal");
-            task_span.attr("signal", stg_->signal_name(z));
-            SearchOptions local = shared;
-            // The early-stop token must not drop a caller-supplied deadline
-            // token: either cancels this instance.
-            local.cancel =
-                sched::CancellationToken::combine(shared.cancel, token);
-            CompatSolver solver(*problem_, local);
-            auto outcome = solver.solve(CodeRelation::Equal, ex, [&, z] {
-                // Per-signal CSC predicate: z enabled at exactly one of the
-                // two markings (a CSC conflict exists iff some circuit-driven
-                // signal has one).
-                return LanePredicate{
-                    [leaf = LeafPredicates(*artifacts_), z](
-                        const BitVec& ca, const BitVec& cb) mutable {
-                        leaf.load(ca, cb);
-                        return leaf.enabled_differs(z);
-                    },
-                    {}};
-            });
-            {
-                std::lock_guard<std::mutex> lock(stats_mu);
-                total.search_nodes += outcome.stats.search_nodes;
-                total.leaves += outcome.stats.leaves;
-                total.propagations += outcome.stats.propagations;
-                if (outcome.stats.max_depth > total.max_depth)
-                    total.max_depth = outcome.stats.max_depth;
-                total.seconds += outcome.stats.seconds;
-                total.bound_seconds += outcome.stats.bound_seconds;
-            }
-            if (!outcome.found) return std::nullopt;
-            return outcome;
-        });
-
-    result.stats = total;
-    if (hit) {
-        result.holds = false;
-        result.witness = make_witness(hit->value.ca, hit->value.cb);
-    }
-    span.attr("signals", outputs.size());
     span.attr("holds", result.holds);
     return result;
 }

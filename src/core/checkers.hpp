@@ -12,8 +12,9 @@
 // can read one bundle concurrently without recomputing anything.
 #pragma once
 
-#include <atomic>
 #include <memory>
+#include <mutex>
+#include <optional>
 
 #include "cache/prefix_artifacts.hpp"
 #include "core/coding_problem.hpp"
@@ -24,11 +25,11 @@
 
 namespace stgcc::core {
 
-/// The separating predicates of the four leaf tests (USC, serial CSC,
-/// per-signal CSC, normalcy) over one artifact bundle, evaluated without
-/// allocating: each solve owns one LeafPredicates, whose cut, place-set and
-/// code buffers every leaf of that solve reuses.  Not thread-safe; the
-/// artifacts it reads are, so concurrent solves each own their own.
+/// The separating predicates of the three leaf tests (USC, CSC, normalcy)
+/// over one artifact bundle, evaluated without allocating: each solve lane
+/// owns one LeafPredicates, whose cut, place-set and code buffers every
+/// leaf of that lane reuses.  Not thread-safe; the artifacts it reads are,
+/// so concurrent lanes each own their own.
 class LeafPredicates {
 public:
     explicit LeafPredicates(const cache::PrefixArtifacts& artifacts)
@@ -50,17 +51,14 @@ public:
     [[nodiscard]] bool markings_differ() const {
         return !(places_[0] == places_[1]);
     }
-    /// Per-signal CSC: z is enabled at exactly one of the two markings.
-    [[nodiscard]] bool enabled_differs(stg::SignalId z) const {
-        return artifacts_->signal_enabled(places_[0], z) !=
-               artifacts_->signal_enabled(places_[1], z);
-    }
-    /// CSC: the enabled-output sets differ, over the circuit-driven
-    /// `outputs`.
+    /// CSC: the enabled-output sets differ, i.e. some circuit-driven signal
+    /// of `outputs` is enabled at exactly one of the two markings.
     [[nodiscard]] bool out_sets_differ(
         const std::vector<stg::SignalId>& outputs) const {
         for (const stg::SignalId z : outputs)
-            if (enabled_differs(z)) return true;
+            if (artifacts_->signal_enabled(places_[0], z) !=
+                artifacts_->signal_enabled(places_[1], z))
+                return true;
         return false;
     }
     /// Nxt_z at the marking of side `side` (after load_codes()).
@@ -109,10 +107,8 @@ public:
     }
 
     /// Unique State Coding: search for two configurations with equal codes
-    /// and different markings.  An exhaustive, uncancelled search that finds
-    /// none is remembered: equal codes then imply equal markings, hence
-    /// equal enabled-output sets, so every later check_csc on this checker
-    /// answers "holds" without searching.
+    /// and different markings.  The result of an uncancelled solve is
+    /// remembered for check_csc (see there).
     [[nodiscard]] stg::CodingCheckResult check_usc(SearchOptions opts = {}) const;
     /// USC with the first-difference subproblems spread over `ex`; the
     /// verdict and witness are those of the serial search at any `--jobs`.
@@ -121,19 +117,16 @@ public:
 
     /// Complete State Coding: search for two configurations with equal codes
     /// and different enabled-output sets (the paper's staged USC-then-CSC
-    /// approach collapses to filtering USC solutions by the Out predicate).
+    /// approach collapses to filtering USC solutions by the Out predicate),
+    /// reporting the first such pair in enumeration order.  A remembered USC
+    /// result settles CSC without searching (stats stay zero) in two cases:
+    /// USC holds (equal codes then imply equal markings, hence equal Out
+    /// sets), or the USC witness's Out sets differ (Out sets that differ
+    /// imply markings that differ, so every CSC leaf is a USC leaf and the
+    /// first USC pair is also the first CSC pair).
     [[nodiscard]] stg::CodingCheckResult check_csc(SearchOptions opts = {}) const;
-
-    /// CSC decomposed into independent per-signal instances (one solve per
-    /// circuit-driven signal z, predicate "z enabled at exactly one of the
-    /// two markings") fanned out on `ex` with first-witness early stop:
-    /// once a conflict for some signal is found, instances for later
-    /// signals are cancelled.  Each instance spreads its own subproblems
-    /// over `ex` too.  Deterministic at any `--jobs`: the reported witness
-    /// is the one of the *lowest-id* conflicting signal, and an
-    /// `Executor(1)` runs the identical decomposition serially.  Note the
-    /// witness may legitimately differ from the single-instance
-    /// check_csc(), which reports the globally first conflicting pair.
+    /// CSC with the first-difference subproblems spread over `ex`; the
+    /// verdict and witness are those of the serial search at any `--jobs`.
     [[nodiscard]] stg::CodingCheckResult check_csc(SearchOptions opts,
                                                   sched::Executor& ex) const;
 
@@ -172,7 +165,15 @@ private:
     cache::PrefixArtifactsPtr artifacts_;
     const stg::Stg* stg_;
     const CodingProblem* problem_;
-    mutable std::atomic<bool> usc_holds_{false};  ///< see check_usc
+    /// The result of the first uncancelled USC solve, and the conflict-free
+    /// optimisation it ran with (the enumeration order depends on it);
+    /// published once, read by check_csc.
+    struct UscResult {
+        stg::CodingCheckResult result;
+        bool conflict_free_optimisation = true;
+    };
+    mutable std::mutex usc_mu_;
+    mutable std::optional<UscResult> usc_;  ///< guarded by usc_mu_
 };
 
 }  // namespace stgcc::core

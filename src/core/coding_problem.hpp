@@ -98,9 +98,9 @@ public:
     // --- shared solver template (tier-1 artifact cache) ---------------------
     // Every CompatSolver instance over this problem starts from the same
     // per-signal slack accounting and variable grouping; precomputing them
-    // here turns the per-instance setup (one rebuild per per-signal CSC
-    // instance, per normalcy orientation, per verify phase) into a copy of
-    // a num_signals-sized array plus read-only references.
+    // here turns the per-instance setup (one rebuild per solve lane, per
+    // normalcy orientation, per verify phase) into a copy of a
+    // num_signals-sized array plus read-only references.
 
     /// Initial per-signal slacks (indexed by SignalId; fixed = 0).
     [[nodiscard]] const std::vector<SignalSlack>& initial_slacks() const noexcept {

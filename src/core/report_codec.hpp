@@ -21,9 +21,10 @@
 
 namespace stgcc::core {
 
-/// Schema version embedded in every payload; bump on layout change (a
+/// Schema version embedded in every payload and in the "stgcore" entry key;
+/// bump on layout change or when a search can report a different witness (a
 /// mismatch decodes as nullopt, i.e. a cache miss).
-inline constexpr std::int64_t kReportCodecVersion = 1;
+inline constexpr std::int64_t kReportCodecVersion = 2;
 
 /// Serialize the non-volatile part of `report`.  `checked` is the net the
 /// checks ran on (the reduced net; the report's witnesses must still refer

@@ -20,9 +20,9 @@ namespace stgcc::core {
 struct VerifyOptions {
     unf::UnfoldOptions unfold;
     SearchOptions search;
-    /// Worker threads for the checking phases (src/sched/): USC, the
-    /// per-signal CSC instances and the two normalcy orientations run
-    /// concurrently.  1 = fully serial (no pool is created); 0 = hardware
+    /// Worker threads for the checking phases (src/sched/): the USC->CSC
+    /// chain and normalcy run concurrently, each solve spreading its
+    /// subproblems over the pool.  1 = fully serial (no pool is created); 0 = hardware
     /// concurrency.  Verdicts and witnesses are identical at any value.
     unsigned jobs = 1;
     bool check_normalcy = true;

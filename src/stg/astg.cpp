@@ -1,6 +1,8 @@
 #include "stg/astg.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -16,6 +18,18 @@ namespace {
 
 [[noreturn]] void parse_fail(std::size_t line, const std::string& msg) {
     throw ModelError("astg parse error at line " + std::to_string(line) + ": " + msg);
+}
+
+/// A token count ("p=k", "<a,b>=k", ".capacity p=k"): decimal digits that
+/// fit 32 bits, else a parse error naming the entry.
+std::uint32_t parse_count(std::string_view digits, std::size_t line,
+                          const std::string& entry) {
+    std::uint32_t count = 0;
+    const char* end = digits.data() + digits.size();
+    const auto [stop, ec] = std::from_chars(digits.data(), end, count);
+    if (ec != std::errc{} || stop != end)
+        parse_fail(line, "bad token count: " + entry);
+    return count;
 }
 
 /// Split a line into whitespace-separated tokens, keeping `<a,b>` groups
@@ -102,8 +116,7 @@ Stg parse_astg(std::istream& in) {
     std::size_t lineno = 0;
     std::vector<std::vector<std::string>> graph_lines;
     std::vector<std::size_t> graph_linenos;
-    std::vector<std::string> marking_tokens;
-    std::size_t marking_lineno = 0;
+    std::vector<std::pair<std::string, std::size_t>> marking_tokens;  // (entry, line)
     std::vector<std::pair<std::string, std::uint32_t>> capacities;
 
     while (std::getline(in, line)) {
@@ -130,22 +143,22 @@ Stg parse_astg(std::istream& in) {
                 saw_graph = true;
             } else if (head == ".marking") {
                 saw_marking = true;
-                marking_lineno = lineno;
                 for (std::size_t i = 1; i < tokens.size(); ++i) {
                     std::string tok = tokens[i];
                     // Strip braces, tolerate "{a" / "b}" / "{" / "}".
                     std::erase(tok, '{');
                     std::erase(tok, '}');
-                    if (!tok.empty()) marking_tokens.push_back(tok);
+                    if (!tok.empty()) marking_tokens.emplace_back(tok, lineno);
                 }
             } else if (head == ".capacity") {
                 for (std::size_t i = 1; i < tokens.size(); ++i) {
                     const auto eq = tokens[i].find('=');
                     if (eq == std::string::npos)
                         parse_fail(lineno, ".capacity entries must be place=k");
-                    capacities.emplace_back(tokens[i].substr(0, eq),
-                                            static_cast<std::uint32_t>(std::stoul(
-                                                tokens[i].substr(eq + 1))));
+                    capacities.emplace_back(
+                        tokens[i].substr(0, eq),
+                        parse_count(std::string_view(tokens[i]).substr(eq + 1),
+                                    lineno, tokens[i]));
                 }
             } else if (head == ".end") {
                 saw_end = true;
@@ -200,23 +213,25 @@ Stg parse_astg(std::istream& in) {
         }
     }
 
-    // Marking.
-    for (const std::string& tok : marking_tokens) {
+    // Marking.  Each place is listed at most once; "p=k" gives a count.
+    std::unordered_set<std::string> marked;
+    for (const auto& [tok, lno] : marking_tokens) {
         std::string name = tok;
         std::uint32_t count = 1;
-        const auto eq = name.find('=');
-        if (eq != std::string::npos && name.front() != '<') {
-            count = static_cast<std::uint32_t>(std::stoul(name.substr(eq + 1)));
-            name = name.substr(0, eq);
-        } else if (name.front() == '<') {
-            const auto eq2 = name.find(">=");
-            if (eq2 != std::string::npos) {
-                count = static_cast<std::uint32_t>(std::stoul(name.substr(eq2 + 2)));
-                name = name.substr(0, eq2 + 1);
-            }
-        }
+        std::size_t eq = name.find('=');
         if (name.front() == '<') {
-            auto [from, to] = split_implicit(name, marking_lineno);
+            const auto close = name.find(">=");
+            eq = close == std::string::npos ? close : close + 1;
+        }
+        if (eq != std::string::npos) {
+            count = parse_count(std::string_view(name).substr(eq + 1), lno, tok);
+            name.resize(eq);
+        }
+        if (name.empty()) parse_fail(lno, "marking entry without a place: " + tok);
+        if (!marked.insert(name).second)
+            parse_fail(lno, "repeated marking entry: " + tok);
+        if (name.front() == '<') {
+            auto [from, to] = split_implicit(name, lno);
             for (std::uint32_t k = 0; k < count; ++k) b.token_between(from, to);
         } else {
             b.tokens(name, count);

@@ -29,15 +29,14 @@ void run_checks(core::VerificationReport& report,
     core::UnfoldingChecker checker(report.artifacts);
     // Phase plan: the parallel decomposition must not *create* work the
     // serial order avoids (docs/PARALLELISM.md, "scaling study").  USC and
-    // CSC form one ordered chain -- an exhaustive USC pass lets the checker
-    // answer CSC without searching, and running them concurrently would
-    // forfeit that and pay the full per-signal CSC fan-out on every
-    // conflict-free model (the 8x corpus inversion fixed in the scaling
-    // study).  Normalcy is an independent chain (LessEq pass,
-    // then GreaterEq only for unresolved flags).  The two chains run
-    // concurrently; within the CSC link the per-signal fan-out still
-    // spreads over the pool.  The serial executor runs the identical
-    // chains in order -- results are the same at any jobs value.
+    // CSC form one ordered chain -- the USC result lets the checker settle
+    // CSC without searching when USC holds or its witness is already a CSC
+    // conflict, and running them concurrently would forfeit that.
+    // Normalcy is an independent chain (LessEq pass, then GreaterEq only
+    // for unresolved flags).  The two chains run concurrently, and every
+    // solve spreads its own subproblems over the pool.  The serial
+    // executor runs the identical chains in order -- results are the same
+    // at any jobs value.
     report.jobs = ex.jobs();
     std::vector<std::function<void()>> phases;
     phases.emplace_back([&] {

@@ -40,7 +40,9 @@ std::string CheckOptions::signature() const {
         // Unparsable spec: keep the raw string; the request errors out
         // before any cache interaction, so the key never materializes.
     }
-    return std::string("v2;normalcy=") + (normalcy ? "1" : "0") +
+    // The version names what a cached verdict means; v3: the CSC witness is
+    // the first conflicting pair of one solve.
+    return std::string("v3;normalcy=") + (normalcy ? "1" : "0") +
            ";reduce=" + spec + ";deadlock=" + (deadlock ? "1" : "0") +
            ";persistency=" + (persistency ? "1" : "0");
 }

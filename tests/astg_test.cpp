@@ -145,6 +145,51 @@ a- p
     EXPECT_EQ(rg.bound(), 2u);
 }
 
+TEST(Astg, RepeatedMarkingEntryRejectedWithLine) {
+    // "p p" used to mean one token, while "<b-,a+> <b-,a+>" meant two.
+    const std::string head = ".inputs a\n.graph\np a+\na+ a-\na- p\n";
+    for (const char* marking : {"{ p p }", "{ p p=1 }", "{ p=1 p }"}) {
+        try {
+            (void)parse_astg_string(head + ".marking " + marking + "\n.end\n");
+            ADD_FAILURE() << marking << " parsed";
+        } catch (const ModelError& e) {
+            EXPECT_NE(std::string(e.what()).find("line 6"), std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("repeated marking entry: p"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW((void)parse_astg_string(
+                     ".inputs a\n.outputs b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n"
+                     ".marking { <b-,a+> <b-,a+> }\n.end\n"),
+                 ModelError);
+}
+
+TEST(Astg, BadMarkingCountRejectedWithLine) {
+    // "p=x" used to exit with a bare "stoul".
+    const std::string head = ".inputs a\n.graph\np a+\na+ a-\na- p\n";
+    for (const char* marking :
+         {"{ p=x }", "{ p= }", "{ p=-1 }", "{ p=1x }", "{ p=4294967296 }"}) {
+        try {
+            (void)parse_astg_string(head + ".marking " + marking + "\n.end\n");
+            ADD_FAILURE() << marking << " parsed";
+        } catch (const ModelError& e) {
+            EXPECT_NE(std::string(e.what()).find("line 6: bad token count: p="),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW((void)parse_astg_string(
+                     ".inputs a\n.outputs b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n"
+                     ".marking { <b-,a+>=two }\n.end\n"),
+                 ModelError);
+    EXPECT_THROW((void)parse_astg_string(head + ".marking { =1 }\n.end\n"), ModelError);
+    EXPECT_THROW((void)parse_astg_string(".inputs a\n.capacity p=x\n.graph\np a+\n"
+                                         "a+ a-\na- p\n.marking { p }\n.end\n"),
+                 ModelError);
+}
+
 TEST(Astg, CapacityDirectiveParsed) {
     const char* text = R"(
 .model cap

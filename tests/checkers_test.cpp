@@ -34,9 +34,29 @@ TEST(Checkers, UscHoldsSettlesCscWithoutLearnedClauses) {
     EXPECT_TRUE(csc.holds);
     EXPECT_EQ(csc.stats.search_nodes, 0u);
     sched::Executor ex(2);
-    const auto fanout = checker.check_csc(off, ex);
-    EXPECT_TRUE(fanout.holds);
-    EXPECT_EQ(fanout.stats.search_nodes, 0u);
+    const auto pooled = checker.check_csc(off, ex);
+    EXPECT_TRUE(pooled.holds);
+    EXPECT_EQ(pooled.stats.search_nodes, 0u);
+}
+
+TEST(Checkers, OutDifferingUscWitnessSettlesCsc) {
+    // Where the USC witness is already a CSC conflict, it is the first CSC
+    // pair in enumeration order: CSC reports it without searching (that a
+    // search finds the same pair is ParallelSearchCorpus's check).
+    for (const char* name : {"envelope2", "lazyring", "ring", "vme"}) {
+        SCOPED_TRACE(name);
+        const stg::Stg model = stg::load_astg_file(
+            std::string(STGCC_MODELS_DIR) + "/" + name + ".g");
+        UnfoldingChecker checker(model);
+        const auto usc = checker.check_usc();
+        ASSERT_FALSE(usc.holds);
+        ASSERT_TRUE(usc.witness->is_csc());
+        const auto csc = checker.check_csc();
+        ASSERT_FALSE(csc.holds);
+        EXPECT_EQ(csc.stats.search_nodes, 0u);
+        EXPECT_EQ(csc.witness->trace1, usc.witness->trace1);
+        EXPECT_EQ(csc.witness->trace2, usc.witness->trace2);
+    }
 }
 
 TEST(Checkers, VmeUscConflictWithSoundWitness) {

@@ -1,6 +1,6 @@
-// Determinism and correctness of the parallel checking paths: the
-// per-signal CSC fan-out, the orientation-parallel normalcy check and the
-// phase-parallel verify_stg must produce byte-identical verdicts and
+// Determinism and correctness of the parallel checking paths: the CSC
+// solve, the orientation-parallel normalcy check and the phase-parallel
+// verify_stg must produce byte-identical verdicts and
 // witnesses at every --jobs value.  Suites are named Parallel* so the tsan
 // CI job can select them with `ctest -R 'Sched|Parallel'`.
 #include <gtest/gtest.h>
@@ -78,25 +78,53 @@ TEST(ParallelDeterminism, RepeatedParallelRunsAreStable) {
     }
 }
 
-TEST(ParallelChecker, PerSignalCscAgreesWithSingleInstance) {
+TEST(ParallelChecker, CscPoolAgreesWithSerial) {
+    // One CSC solve at every jobs value: a fresh checker per run (so no
+    // remembered USC result settles it), serial vs pool, same verdict and
+    // same witness.
     for (const auto& model : determinism_models()) {
-        UnfoldingChecker checker(model);
-        const auto single = checker.check_csc();
-        sched::Executor serial(1);
+        UnfoldingChecker serial_checker(model);
+        UnfoldingChecker pool_checker(model);
+        const auto serial = serial_checker.check_csc();
         sched::Executor pool(8);
-        const auto fan_serial = checker.check_csc({}, serial);
-        const auto fan_pool = checker.check_csc({}, pool);
-        EXPECT_EQ(single.holds, fan_serial.holds) << model.name();
-        EXPECT_EQ(single.holds, fan_pool.holds) << model.name();
-        // The decomposed paths agree with each other exactly (same witness).
-        ASSERT_EQ(fan_serial.witness.has_value(), fan_pool.witness.has_value());
-        if (fan_serial.witness) {
-            EXPECT_EQ(fan_serial.witness->code.to_string(),
-                      fan_pool.witness->code.to_string());
-            EXPECT_EQ(fan_serial.witness->trace1, fan_pool.witness->trace1);
-            EXPECT_EQ(fan_serial.witness->trace2, fan_pool.witness->trace2);
+        const auto parallel = pool_checker.check_csc({}, pool);
+        EXPECT_EQ(serial.holds, parallel.holds) << model.name();
+        ASSERT_EQ(serial.witness.has_value(), parallel.witness.has_value());
+        if (serial.witness) {
+            EXPECT_EQ(serial.witness->code.to_string(),
+                      parallel.witness->code.to_string());
+            EXPECT_EQ(serial.witness->trace1, parallel.witness->trace1);
+            EXPECT_EQ(serial.witness->trace2, parallel.witness->trace2);
         }
     }
+}
+
+TEST(ParallelChecker, CscOnPoolDoesNoMoreWorkThanItsFirstHit) {
+    // One solve at every jobs value: the serial search hits in 2 nodes, and
+    // on a pool the other lanes stop at their next cancellation poll (every
+    // 1024 nodes) instead of an exhaustive search per circuit-driven signal
+    // running before the hit can cancel it (80,010 nodes under the
+    // per-signal fan-out at jobs 4).
+    const stg::Stg model = stg::bench::phase_envelope(64);
+    const auto serial = UnfoldingChecker(model).check_csc();
+    ASSERT_FALSE(serial.holds);
+    UnfoldingChecker checker(model);
+    sched::Executor pool(4);
+    const auto csc = checker.check_csc({}, pool);
+    EXPECT_FALSE(csc.holds);
+    EXPECT_LE(csc.stats.search_nodes, serial.stats.search_nodes + 3 * 1024);
+}
+
+TEST(ParallelChecker, HandshakePipelineCscIsSmall) {
+    // The per-signal fan-out searched 9.4M nodes here (one exhaustive
+    // solve per signal whose CSC holds).
+    const stg::Stg model = stg::bench::handshake_pipeline(6);
+    VerifyOptions opts;
+    opts.check_normalcy = false;
+    const auto report = verify_stg(model, opts);
+    ASSERT_TRUE(report.consistent);
+    EXPECT_FALSE(report.csc.holds);
+    EXPECT_LE(report.csc.stats.search_nodes, 100u);
 }
 
 TEST(ParallelChecker, NormalcyExecutorAgreesWithSerial) {

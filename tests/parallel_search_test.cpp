@@ -86,6 +86,51 @@ INSTANTIATE_TEST_SUITE_P(Models, ParallelSearchCorpus,
                          ::testing::ValuesIn(corpus_files()),
                          [](const auto& info) { return info.param; });
 
+/// CSC verdict and witness traces, "holds" when there is none.
+std::string csc_outcome(const stg::CodingCheckResult& r) {
+    return r.witness ? traces(r.witness->trace1, r.witness->trace2) : "holds";
+}
+
+/// CSC searched on a fresh checker at every jobs value equals CSC checked
+/// after USC, as the pipeline does (settled by the USC result where it
+/// can be; expect_identical_across_jobs covers that path at every jobs).
+void expect_csc_identical_across_jobs(const stg::Stg& model) {
+    UnfoldingChecker chained(model);
+    (void)chained.check_usc();
+    const std::string serial = csc_outcome(chained.check_csc());
+    for (const unsigned jobs : kJobs) {
+        sched::Executor ex(jobs);
+        EXPECT_EQ(csc_outcome(UnfoldingChecker(model).check_csc({}, ex)), serial)
+            << model.name() << " jobs " << jobs;
+    }
+}
+
+TEST_P(ParallelSearchCorpus, CscSearchedAndSettledAgreeAtEveryJobs) {
+    expect_csc_identical_across_jobs(corpus_model(GetParam()));
+}
+
+TEST(ParallelSearch, CscIdenticalAtEveryJobsOnDifferentialFleet) {
+    // The DifferentialCacheTest nets, dummies contracted as there.
+    for (unsigned seed = 5000; seed < 5008; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        test::RandomStgConfig cfg;
+        cfg.machines = 3;
+        cfg.signals_per_machine = 3;
+        cfg.places_per_machine = 10;
+        cfg.sync_transitions = 2;
+        cfg.dummy_probability = 0.2;
+        const stg::Stg model = test::random_stg(seed, cfg);
+        VerifyOptions opts;
+        opts.contract_dummies = true;
+        opts.check_normalcy = false;
+        const auto report = verify_stg(model, opts);
+        ASSERT_TRUE(report.consistent);
+        expect_identical_across_jobs(model, opts);
+        expect_csc_identical_across_jobs(report.reduced_stg ? *report.reduced_stg
+                                                            : model);
+    }
+}
+
 TEST(ParallelSearch, CorpusIsNonEmpty) {
     EXPECT_GE(corpus_files().size(), 22u);
 }
@@ -340,7 +385,8 @@ TEST(ParallelSearch, ExhaustiveSolvesCountIdenticallyAtAnyJobs) {
         return false;
     };
     for (const std::string name : {"cf_asym_a_csc", "cf_sym_b_csc", "cf_sym_c_csc",
-                                   "par4", "muller4", "vme", "ring", "dup_mod_c"}) {
+                                   "par4", "muller4", "vme", "ring", "dup_mod_c",
+                                   "seq4"}) {
         SCOPED_TRACE(name);
         const stg::Stg model = corpus_model(name);
         UnfoldingChecker checker(model);
@@ -353,9 +399,9 @@ TEST(ParallelSearch, ExhaustiveSolvesCountIdenticallyAtAnyJobs) {
             expect_same_counts(a.stats, b.stats,
                                "relation " + std::to_string(static_cast<int>(rel)));
         }
-        // The checkers' own exhaustive searches: USC and per-signal CSC when
-        // they hold, normalcy when some signal stays normal (both passes
-        // then run to the end).
+        // The checkers' own exhaustive searches: USC and CSC when they hold
+        // (CSC searches only where USC fails, as on seq4), normalcy when
+        // some signal stays normal (both passes then run to the end).
         const auto usc1 = checker.check_usc(opts, serial);
         const auto usc4 = checker.check_usc(opts, pool);
         if (usc1.holds) expect_same_counts(usc1.stats, usc4.stats, "usc");

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -27,6 +28,7 @@
 #include "stg/reduce/reduce.hpp"
 #include "stg/state_checks.hpp"
 #include "stg/state_graph.hpp"
+#include "svc/pipeline.hpp"
 #include "svc/protocol.hpp"
 #include "test_util.hpp"
 
@@ -518,7 +520,7 @@ TEST(ReportCodec, RejectsPayloadFromDifferentNet) {
 TEST(OptionsSignature, OneSpellingSharedByAllCaches) {
     svc::CheckOptions copts;
     EXPECT_EQ(copts.signature(),
-              "v2;normalcy=1;reduce=none;deadlock=0;persistency=0");
+              "v3;normalcy=1;reduce=none;deadlock=0;persistency=0");
 
     // The reduce spec is canonicalized, so "all" and the expanded list key
     // the same entries.
@@ -619,6 +621,50 @@ TEST_F(SemanticCacheTest, ReducedNetsShareEntriesAcrossDummySpellings) {
     EXPECT_TRUE(hit);
     EXPECT_EQ(core::format_report(b, r2),
               core::format_report(b, core::verify_stg(b, opts)));
+}
+
+TEST_F(SemanticCacheTest, EntriesUnderPreviousKeysMiss) {
+    // The CSC witness of a DUP-* model differs from the one stored by the
+    // previous CSC search, so entries keyed by the previous options
+    // signature (rendered tier) or codec version ("stgcore" tier) must miss.
+    const std::string path = std::string(STGCC_MODELS_DIR) + "/dup_mod_c.g";
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    ASSERT_FALSE(text.empty());
+    const svc::CheckOptions copts;
+    const cache::ResultCache warm((dir_ / "warm").string());
+    const auto fresh = svc::check_model(text, copts, warm, nullptr);
+    ASSERT_EQ(fresh.tier, nullptr);
+
+    const std::uint64_t hash = cache::fnv1a64(text);
+    const auto rendered = warm.load("rendered", hash, copts.signature());
+    ASSERT_TRUE(rendered.has_value());
+    std::string old_sig = copts.signature();
+    ASSERT_EQ(old_sig.rfind("v3;", 0), 0u);
+    old_sig.replace(0, 2, "v2");
+
+    const core::VerifyOptions vopts = svc::verify_options(copts);
+    const svc::PreparedModel prepared(
+        std::make_shared<const stg::Stg>(stg::parse_astg_string(text)), vopts);
+    const std::string entry = core::semantic_entry_options(vopts);
+    const auto report = warm.load("stgcore", prepared.semantic_key(), entry);
+    ASSERT_TRUE(report.has_value());
+    const std::string current =
+        "stgcore/" + std::to_string(core::kReportCodecVersion);
+    ASSERT_EQ(entry.rfind(current, 0), 0u);
+    const std::string old_entry =
+        "stgcore/" + std::to_string(core::kReportCodecVersion - 1) +
+        entry.substr(current.size());
+
+    const cache::ResultCache stale((dir_ / "stale").string());
+    ASSERT_TRUE(stale.store("rendered", hash, old_sig, *rendered));
+    ASSERT_TRUE(stale.store("stgcore", prepared.semantic_key(), old_entry, *report));
+    const auto rerun = svc::check_model(text, copts, stale, nullptr);
+    EXPECT_EQ(rerun.tier, nullptr);
+    EXPECT_EQ(rerun.rendered.verdict, fresh.rendered.verdict);
+    // The same payloads under the current keys do hit.
+    EXPECT_STREQ(svc::check_model(text, copts, warm, nullptr).tier, "disk");
 }
 
 // --- differential fleet: reduce on/off, jobs 1 and 8 ------------------------

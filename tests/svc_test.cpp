@@ -953,5 +953,50 @@ TEST(SvcSharedCache, StgcheckEntriesServeStgdAndStgbatch) {
     fs::remove_all(work);
 }
 
+TEST(SvcSharedCache, StgbatchConnectedAndOfflineAgreeOnAMissingFile) {
+    // A manifest entry that cannot be read is one error row, spelled the
+    // same whether stgbatch checks locally or through stgd.
+    const fs::path work = fs::path(::testing::TempDir()) / "stgcc_svc_missing";
+    fs::remove_all(work);
+    fs::create_directories(work);
+    {
+        std::ofstream manifest(work / "corpus.txt");
+        manifest << STGCC_MODELS_DIR << "/vme.g\n"
+                 << (work / "missing.g").string() << "\n"
+                 << STGCC_MODELS_DIR << "/johnson4.g\n";
+    }
+    std::string error;
+    svc::ServerConfig cfg;
+    cfg.listen.push_back(
+        *svc::parse_endpoint("unix:" + (work / "d.sock").string(), error));
+    cfg.jobs = 2;
+    svc::Server server(std::move(cfg));
+    ASSERT_TRUE(server.start(error)) << error;
+    std::thread runner([&] { (void)server.run(); });
+    const std::string base = std::string(STGCC_STGBATCH_BIN) + " " +
+                             (work / "corpus.txt").string() +
+                             " --quiet --no-cache --json ";
+    const RunResult offline = run_shell(base + (work / "offline.json").string());
+    const RunResult connected =
+        run_shell(base + (work / "connected.json").string() + " --connect unix:" +
+                  (work / "d.sock").string());
+    server.request_shutdown();
+    runner.join();
+    EXPECT_EQ(offline.exit_code, 2) << offline.output;
+    EXPECT_EQ(connected.exit_code, 2) << connected.output;
+    std::string canonical[2];
+    for (int k = 0; k < 2; ++k) {
+        const auto bytes = cache::read_file_bytes(
+            (work / (k == 0 ? "offline.json" : "connected.json")).string());
+        ASSERT_TRUE(bytes.has_value());
+        const auto report = obs::Json::parse(*bytes);
+        ASSERT_TRUE(report.has_value());
+        canonical[k] = test::canonical_json(*report);
+    }
+    EXPECT_NE(canonical[0].find("cannot open ASTG file: "), std::string::npos);
+    EXPECT_EQ(canonical[0], canonical[1]);
+    fs::remove_all(work);
+}
+
 }  // namespace
 }  // namespace stgcc

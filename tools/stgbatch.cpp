@@ -98,8 +98,8 @@ struct ModelResult {
     obs::Json row;          ///< aggregate-report row (seconds appended later)
     double seconds = 0.0;
     /// Scheduler attribution for this model's task group: the model task
-    /// itself plus every nested task it fanned out (per-signal CSC,
-    /// normalcy orientations).  Volatile -- appended to the row under
+    /// itself plus every nested task it fanned out (first-difference
+    /// subproblems of its solves).  Volatile -- appended to the row under
     /// "stats", never cached.
     std::uint64_t tasks = 0;
     std::uint64_t queue_delay_ns = 0;
@@ -131,6 +131,11 @@ obs::Json reduction_summary(const std::vector<ModelResult>& results) {
 /// Record a model that failed to load or verify.  Failures are never
 /// cached: the message may depend on environment state (permissions,
 /// limits).
+/// The error of a manifest entry that cannot be read, local or connected.
+std::string cannot_open(const std::string& file) {
+    return "cannot open ASTG file: " + file;
+}
+
 void fail(ModelResult& r, const std::string& file, std::string error) {
     r.error = std::move(error);
     r.verdict = "ERROR (" + r.error + ")";
@@ -241,7 +246,7 @@ int run_connected(const char* connect, const char* manifest,
         const auto bytes = cache::read_file_bytes(files[i]);
         if (!bytes) {
             // Same shape a local load failure produces; never sent.
-            fail(r, files[i], "cannot open " + files[i]);
+            fail(r, files[i], cannot_open(files[i]));
             progress(i);
             continue;
         }
@@ -473,7 +478,7 @@ int main(int argc, char** argv) {
     std::vector<ModelResult> results(files.size());
     // Results land in `results` by manifest index (deterministic); only the
     // streamed progress lines appear in completion order.  Model tasks and
-    // each model's inner instances (per-signal CSC, normalcy orientations)
+    // each model's inner subproblems (first-difference lanes of every solve)
     // share the one pool: small models fill workers the big models' fanout
     // leaves idle, and the corpus isn't serialized on its largest model.
     sched::parallel_for(ex, files.size(), [&](std::size_t i) {
@@ -483,7 +488,7 @@ int main(int argc, char** argv) {
         Stopwatch timer;
         try {
             const auto bytes = cache::read_file_bytes(files[i]);
-            if (!bytes) throw ModelError("cannot open ASTG file: " + files[i]);
+            if (!bytes) throw ModelError(cannot_open(files[i]));
             const svc::ModelCheck mc = svc::check_model(*bytes, copts, rcache, &ex);
             r.loaded = true;
             r.cuts = mc.report.cuts;
