@@ -145,8 +145,7 @@ struct Fixture {
         out.push_back({"leaf_normalcy",
                        leaf_op(
                            [this](const BitVec& ca, const BitVec& cb) {
-                               leaf->load(ca, cb);
-                               leaf->load_codes(ca, cb);
+                               leaf->load_with_codes(ca, cb);
                                std::size_t flips = 0;
                                for (const stg::SignalId z : outputs)
                                    flips += leaf->nxt(0, z) != leaf->nxt(1, z);

@@ -49,22 +49,31 @@ void PrefixArtifacts::build() {
     const std::size_t q = problem_->size();
     clauses_ = std::make_unique<ClauseStore>(q);
 
-    // Condition masks for marking_of_dense.
-    const std::size_t nb = prefix_.num_conditions();
-    min_mask_ = BitVec(nb);
-    for (unf::ConditionId b : prefix_.min_conditions()) min_mask_.set(b);
-    pre_masks_ = util::BitMatrix(arena_, q, nb);
-    post_masks_ = util::BitMatrix(arena_, q, nb);
+    // Toggle rows for places_of_dense / state_of_dense: the places whose
+    // token count the event's transition changes, then its signal bit.
+    const petri::Net& net = prefix_.system().net();
+    initial_places_ = BitVec(net.num_places());
+    for (unf::ConditionId b : prefix_.min_conditions())
+        initial_places_.set(prefix_.condition(b).place);
+    place_words_ = (net.num_places() + BitSpan::kWordBits - 1) / BitSpan::kWordBits;
+    const std::size_t code_offset = place_words_ * BitSpan::kWordBits;
+    toggles_ = util::BitMatrix(arena_, q, code_offset + stg_->num_signals());
     for (std::size_t i = 0; i < q; ++i) {
-        const unf::Event& ev = prefix_.event(problem_->event_of(i));
-        for (unf::ConditionId b : ev.preset) pre_masks_.set(i, b);
-        for (unf::ConditionId b : ev.postset) post_masks_.set(i, b);
+        const petri::TransitionId t = prefix_.event(problem_->event_of(i)).transition;
+        MutBitSpan row = toggles_.mut_row(i);
+        for (petri::PlaceId p : net.pre(t)) row.set(p);
+        for (petri::PlaceId p : net.post(t)) {
+            if (row.test(p))
+                row.reset(p);  // a self-loop place keeps its token
+            else
+                row.set(p);
+        }
+        row.set(code_offset + problem_->signal(i));
     }
 
     // Per-signal preset index for signal_enabled(): a counting sort of the
     // labelled transitions by signal, ascending ids within a signal.
     const stg::Stg& stg = *stg_;
-    const petri::Net& net = stg.net();
     signal_begin_.assign(stg.num_signals() + 1, 0);
     for (petri::TransitionId t = 0; t < net.num_transitions(); ++t)
         if (!stg.is_dummy(t)) ++signal_begin_[stg.label(t).signal + 1];
@@ -96,23 +105,36 @@ const core::CodingProblem& PrefixArtifacts::problem() const {
     return *problem_;
 }
 
-void PrefixArtifacts::places_of_dense(BitSpan dense, BitVec& cut,
-                                      BitVec& places) const {
+void PrefixArtifacts::places_of_dense(BitSpan dense, BitVec& places) const {
     STGCC_ASSERT(problem_ != nullptr);
-    // cut = (Min(ON) | union of postsets) \ union of presets.
-    cut = min_mask_;
-    dense.for_each([&](std::size_t i) { cut |= post_masks_.row(i); });
-    dense.for_each([&](std::size_t i) { cut.subtract(pre_masks_.row(i)); });
-    places.resize(prefix_.system().net().num_places());
-    places.clear();
-    cut.for_each([&](std::size_t b) {
-        places.set(prefix_.condition(static_cast<unf::ConditionId>(b)).place);
+    places = initial_places_;
+    BitSpan::Word* p = places.data();
+    const std::size_t pw = place_words_;
+    dense.for_each([&](std::size_t i) {
+        const BitSpan::Word* r = toggles_.row(i).words();
+        for (std::size_t w = 0; w < pw; ++w) p[w] ^= r[w];
+    });
+}
+
+void PrefixArtifacts::state_of_dense(BitSpan dense, BitVec& places,
+                                     stg::Code& code) const {
+    STGCC_ASSERT(problem_ != nullptr);
+    places = initial_places_;
+    code = problem_->initial_code();
+    BitSpan::Word* p = places.data();
+    BitSpan::Word* c = code.data();
+    const std::size_t pw = place_words_;
+    const std::size_t cw = toggles_.stride() - pw;
+    dense.for_each([&](std::size_t i) {
+        const BitSpan::Word* r = toggles_.row(i).words();
+        for (std::size_t w = 0; w < pw; ++w) p[w] ^= r[w];
+        for (std::size_t w = 0; w < cw; ++w) c[w] ^= r[pw + w];
     });
 }
 
 petri::Marking PrefixArtifacts::marking_of_dense(const BitVec& dense) const {
-    BitVec cut, places;
-    places_of_dense(dense, cut, places);
+    BitVec places;
+    places_of_dense(dense, places);
     petri::Marking m(places.size());
     places.for_each([&](std::size_t p) { m.add(p); });
     return m;

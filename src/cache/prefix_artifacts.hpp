@@ -9,10 +9,11 @@
 //   * the consistency analysis itself (and the derived initial code v0),
 //     which verify_stg and the CodingProblem used to compute separately,
 //   * the dense CodingProblem with its per-signal solver template,
-//   * per-dense-event condition pre/post masks plus the Min(ON) mask, which
-//     turn the leaf-predicate marking computation (cut of a configuration)
-//     into three word-parallel bit operations instead of a vector<bool>
-//     sweep over all conditions,
+//   * per-dense-event place toggle rows (pre(t) xor post(t) of the event's
+//     transition t, widened with the event's signal bit) plus the initial
+//     place set, which turn the leaf-predicate marking and code of a
+//     configuration into one XOR sweep over its events (the parity form of
+//     the marking equation; see places_of_dense),
 //   * the tier-2 learned-clause store shared by sibling solver instances.
 //
 // The object is immutable after construction (the clause store is
@@ -79,21 +80,28 @@ public:
         return co_rows_.row(e);
     }
 
-    /// Marking reached by a dense configuration of the coding problem:
-    /// cut = (Min(ON) | union of postsets) \ union of presets, evaluated
-    /// with the precomputed condition masks.  Agrees bit-for-bit with
+    /// Marking reached by a dense configuration of the coding problem (see
+    /// places_of_dense).  Agrees bit-for-bit with
     /// unf::marking_of(prefix, problem().to_event_set(dense)).
     /// Only valid when consistent().
     [[nodiscard]] petri::Marking marking_of_dense(const BitVec& dense) const;
 
     /// The same marking as a set of places, written into caller-owned
-    /// buffers: `cut` receives the cut over conditions and `places` the
-    /// places of its conditions.  The net is 1-safe, so the place set is the
-    /// exact marking -- two dense configurations reach the same marking iff
-    /// their place sets are equal.  Allocation-free once the buffers are
-    /// sized (leaf predicates reuse one pair per solve).  Only valid when
-    /// consistent().
-    void places_of_dense(BitSpan dense, BitVec& cut, BitVec& places) const;
+    /// `places`.  The marking equation Mark(C) = M0 + sum over e in C of
+    /// post(h(e)) - pre(h(e)) gives each place a count in {0, 1} because the
+    /// net is 1-safe (the unfolder rejects anything else), so the count
+    /// equals its parity: places = M0 xor (xor over e in C of
+    /// pre(h(e)) xor post(h(e))), one word-parallel XOR per event of C.  The
+    /// place set is the exact marking -- two dense configurations reach the
+    /// same marking iff their place sets are equal.  Allocation-free once
+    /// `places` is sized (leaf predicates reuse one per side).  Only valid
+    /// when consistent().
+    void places_of_dense(BitSpan dense, BitVec& places) const;
+
+    /// places_of_dense and CodingProblem::code_of in the same sweep: each
+    /// toggle row also flips the event's signal bit of the code.  Only
+    /// valid when consistent().
+    void state_of_dense(BitSpan dense, BitVec& places, stg::Code& code) const;
 
     /// True when some transition of signal z is enabled at the marking
     /// whose place set is `places` (from places_of_dense): tests the preset
@@ -117,12 +125,15 @@ private:
     std::shared_ptr<const stg::Stg> owned_stg_;  ///< may be null (aliasing ctors)
     const stg::Stg* stg_;
     unf::Prefix prefix_;
-    util::Arena arena_;           ///< owns the co matrix and condition masks
+    util::Arena arena_;           ///< owns the co matrix and toggle rows
     util::BitMatrix co_rows_;     ///< n x n, rows in arena_
     unf::PrefixConsistency consistency_;
     std::unique_ptr<core::CodingProblem> problem_;  ///< null when inconsistent
-    BitVec min_mask_;                        ///< Min(ON), width num_conditions
-    util::BitMatrix pre_masks_, post_masks_;  ///< q x num_conditions, in arena_
+    BitVec initial_places_;       ///< M0, width num_places
+    /// q rows in arena_: words [0, place_words_) hold the event's place
+    /// toggles, the words after them its one-hot signal bit.
+    util::BitMatrix toggles_;
+    std::size_t place_words_ = 0;
     /// signal_enabled() index, CSR: the transitions of signal z are
     /// enabling_[signal_begin_[z] .. signal_begin_[z+1]), and the preset of
     /// the k-th of them is preset_places_[enabling_[k] .. enabling_[k+1]).

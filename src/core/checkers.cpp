@@ -200,8 +200,7 @@ UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
         auto lane = std::make_shared<Lane>(Lane{LeafPredicates(*artifacts_)});
         auto accept = [&, lane](const BitVec& ca, const BitVec& cb) {
             const std::size_t d = lane->d;
-            lane->leaf.load(ca, cb);
-            lane->leaf.load_codes(ca, cb);
+            lane->leaf.load_with_codes(ca, cb);
             for (std::size_t i = 0; i < outputs.size(); ++i) {
                 const bool p_open =
                     first_d[2 * i].load(std::memory_order_relaxed) > d;

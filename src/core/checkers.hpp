@@ -6,8 +6,8 @@
 // satisfying pair of configurations into a ConflictWitness with execution
 // paths.
 //
-// All derived per-prefix data (consistency, coding problem, condition
-// masks, learned-clause store) lives in a shared cache::PrefixArtifacts;
+// All derived per-prefix data (consistency, coding problem, place
+// toggles, learned-clause store) lives in a shared cache::PrefixArtifacts;
 // several checkers -- or a checker and a conflict-core / dot consumer --
 // can read one bundle concurrently without recomputing anything.
 #pragma once
@@ -27,9 +27,9 @@ namespace stgcc::core {
 
 /// The separating predicates of the three leaf tests (USC, CSC, normalcy)
 /// over one artifact bundle, evaluated without allocating: each solve lane
-/// owns one LeafPredicates, whose cut, place-set and code buffers every
-/// leaf of that lane reuses.  Not thread-safe; the artifacts it reads are,
-/// so concurrent lanes each own their own.
+/// owns one LeafPredicates, whose place-set and code buffers every leaf of
+/// that lane reuses.  Not thread-safe; the artifacts it reads are, so
+/// concurrent lanes each own their own.
 class LeafPredicates {
 public:
     explicit LeafPredicates(const cache::PrefixArtifacts& artifacts)
@@ -38,13 +38,14 @@ public:
     /// Load the place sets (exact markings) of both configurations; every
     /// predicate below reads the last loaded pair.
     void load(const BitVec& ca, const BitVec& cb) {
-        artifacts_->places_of_dense(ca, cut_, places_[0]);
-        artifacts_->places_of_dense(cb, cut_, places_[1]);
+        artifacts_->places_of_dense(ca, places_[0]);
+        artifacts_->places_of_dense(cb, places_[1]);
     }
-    /// Also load both codes (normalcy's Nxt needs them).
-    void load_codes(const BitVec& ca, const BitVec& cb) {
-        artifacts_->problem().code_of(ca, codes_[0]);
-        artifacts_->problem().code_of(cb, codes_[1]);
+    /// load() plus both codes (normalcy's Nxt needs them), each side's
+    /// marking and code in one sweep over its configuration.
+    void load_with_codes(const BitVec& ca, const BitVec& cb) {
+        artifacts_->state_of_dense(ca, places_[0], codes_[0]);
+        artifacts_->state_of_dense(cb, places_[1], codes_[1]);
     }
 
     /// USC: the markings differ.
@@ -61,7 +62,7 @@ public:
                 return true;
         return false;
     }
-    /// Nxt_z at the marking of side `side` (after load_codes()).
+    /// Nxt_z at the marking of side `side` (after load_with_codes()).
     [[nodiscard]] bool nxt(int side, stg::SignalId z) const {
         const bool value = codes_[side].test(z);
         return artifacts_->signal_enabled(places_[side], z) ? !value : value;
@@ -69,7 +70,7 @@ public:
 
 private:
     const cache::PrefixArtifacts* artifacts_;
-    BitVec cut_, places_[2];
+    BitVec places_[2];
     stg::Code codes_[2];
 };
 

@@ -43,6 +43,8 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
     preds_ = util::BitMatrix(arena_, q, q);
     succs_ = util::BitMatrix(arena_, q, q);
     confs_ = util::BitMatrix(arena_, q, q);
+    rises_ = util::BitMatrix(arena_, stg.num_signals(), q);
+    falls_ = util::BitMatrix(arena_, stg.num_signals(), q);
     signal_.resize(q);
     delta_.resize(q);
 
@@ -51,6 +53,7 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
         const stg::Label l = stg.label(prefix.event(e).transition);
         signal_[i] = l.signal;
         delta_[i] = l.delta();
+        (delta_[i] > 0 ? rises_ : falls_).set(l.signal, i);
         prefix.local_config(e).for_each([&](std::size_t f) {
             if (f == e) return;
             // Causal predecessors of a non-cut-off event are non-cut-off
@@ -69,15 +72,10 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
     // one -coefficient variable to its signal (delta on side 0, -delta on
     // side 1), so pos and neg both count the signal's events.
     initial_slacks_.assign(stg.num_signals(), SignalSlack{});
-    vars_of_signal_.assign(stg.num_signals(), {});
     for (std::size_t i = 0; i < q; ++i) {
         SignalSlack& s = initial_slacks_[signal_[i]];
         ++s.pos;
         ++s.neg;
-        for (int side = 0; side < 2; ++side)
-            vars_of_signal_[signal_[i]].push_back(
-                VarRef{static_cast<std::uint8_t>(side),
-                       static_cast<std::uint32_t>(i)});
     }
 
     obs::gauge("mem.arena_bytes")

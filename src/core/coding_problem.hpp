@@ -6,7 +6,9 @@
 //   * its strict causal predecessors, successors and conflict set as rows of
 //     three arena-backed bit matrices over dense indices (the Theorem 1
 //     closure rules), exposed as BitSpan row views,
-//   * its signal and code contribution (+1 for z+, -1 for z-).
+//   * its signal and code contribution (+1 for z+, -1 for z-),
+// and, per signal, its rising and falling events as two more arena-backed
+// rows over dense indices (the solver's extreme forcing reads them).
 // It also records the derived initial code v0 and whether the STG is
 // dynamically conflict-free (enabling the section 7 optimisation).
 #pragma once
@@ -20,14 +22,6 @@
 #include "util/bit_matrix.hpp"
 
 namespace stgcc::core {
-
-/// A variable of the pair search: side 0 = x', side 1 = x'', idx = dense
-/// event index.  Shared by the CompatSolver and the precomputed per-signal
-/// variable lists below.
-struct VarRef {
-    std::uint8_t side;
-    std::uint32_t idx;
-};
 
 /// Initial interval slack of one signal's code-difference constraint:
 /// counts of unassigned variables with coefficient +1 / -1.  Computed once
@@ -76,6 +70,11 @@ public:
     /// +1 for a rising edge, -1 for a falling edge.
     [[nodiscard]] int delta(std::size_t dense) const { return delta_[dense]; }
 
+    /// The dense events of signal z with delta +1 (rises) and -1 (falls):
+    /// together they partition z's events.
+    [[nodiscard]] BitSpan rises(stg::SignalId z) const { return rises_.row(z); }
+    [[nodiscard]] BitSpan falls(stg::SignalId z) const { return falls_.row(z); }
+
     [[nodiscard]] const stg::Code& initial_code() const noexcept {
         return initial_code_;
     }
@@ -97,20 +96,14 @@ public:
 
     // --- shared solver template (tier-1 artifact cache) ---------------------
     // Every CompatSolver instance over this problem starts from the same
-    // per-signal slack accounting and variable grouping; precomputing them
-    // here turns the per-instance setup (one rebuild per solve lane, per
-    // normalcy orientation, per verify phase) into a copy of a
-    // num_signals-sized array plus read-only references.
+    // per-signal slack accounting; precomputing it here turns the
+    // per-instance setup (one rebuild per solve lane, per normalcy
+    // orientation, per verify phase) into a copy of a num_signals-sized
+    // array.
 
     /// Initial per-signal slacks (indexed by SignalId; fixed = 0).
     [[nodiscard]] const std::vector<SignalSlack>& initial_slacks() const noexcept {
         return initial_slacks_;
-    }
-
-    /// Both-side variables of each signal, grouped by SignalId.
-    [[nodiscard]] const std::vector<std::vector<VarRef>>& vars_of_signal()
-        const noexcept {
-        return vars_of_signal_;
     }
 
 private:
@@ -121,10 +114,10 @@ private:
     std::vector<unf::EventId> events_;
     util::Arena arena_;                       ///< owns the closure slabs
     util::BitMatrix preds_, succs_, confs_;   ///< q x q rows in arena_
+    util::BitMatrix rises_, falls_;           ///< num_signals x q, in arena_
     std::vector<stg::SignalId> signal_;
     std::vector<int> delta_;
     std::vector<SignalSlack> initial_slacks_;
-    std::vector<std::vector<VarRef>> vars_of_signal_;
     stg::Code initial_code_;
     bool conflict_free_ = false;
 };

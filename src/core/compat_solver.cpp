@@ -121,21 +121,36 @@ bool CompatKernel::force_row(BitSpan row, int side, int value) {
     return true;
 }
 
+void CompatKernel::force_open(BitSpan row, int side, int value) {
+    // Enqueue every still unassigned bit of `row` on `side` with `value`,
+    // one word at a time.  The caller guarantees the interval stays
+    // feasible, so no enqueue can fail.
+    const Word* r = row.words();
+    const Word* o = ones_[side].data();
+    const Word* z = zeros_[side].data();
+    for (std::size_t w = 0; w < words_; ++w) {
+        for (Word open = r[w] & ~(o[w] | z[w]); open != 0; open &= open - 1) {
+            const std::size_t idx =
+                w * kWordBits + static_cast<std::size_t>(std::countr_zero(open));
+            const bool feasible = enqueue(side, idx, value);
+            STGCC_ASSERT(feasible);
+            (void)feasible;
+        }
+    }
+}
+
 void CompatKernel::force_extreme(stg::SignalId z, bool maximum) {
     // To satisfy the relation, D_z must take its extreme value: every
     // unassigned variable of z is forced (max: coef>0 -> 1, coef<0 -> 0;
     // min: the opposite).  Each forced variable keeps that extreme and moves
-    // the other bound towards it, so the interval stays feasible.
-    for (const VarRef& v : problem_->vars_of_signal()[z]) {
-        const Word bit = Word{1} << (v.idx % kWordBits);
-        const std::size_t w = v.idx / kWordBits;
-        if ((ones_[v.side].data()[w] | zeros_[v.side].data()[w]) & bit) continue;
-        const int coef =
-            v.side == 0 ? problem_->delta(v.idx) : -problem_->delta(v.idx);
-        const bool feasible = enqueue(v.side, v.idx, maximum == (coef > 0) ? 1 : 0);
-        STGCC_ASSERT(feasible);
-        (void)feasible;
-    }
+    // the other bound towards it, so the interval stays feasible.  Side 0
+    // has coef = delta, side 1 coef = -delta, so at the maximum x' takes
+    // the rises and x'' the falls of z.
+    const int up = maximum ? 1 : 0;
+    force_open(problem_->rises(z), 0, up);
+    force_open(problem_->falls(z), 0, 1 - up);
+    force_open(problem_->rises(z), 1, 1 - up);
+    force_open(problem_->falls(z), 1, up);
 }
 
 bool CompatKernel::propagate(VarRef v) {
@@ -145,22 +160,26 @@ bool CompatKernel::propagate(VarRef v) {
 
     // Unit-style forcing when the relation pins D_z to an extreme.  Checked
     // against the current interval, which only narrows after v's own
-    // enqueue, so no extreme reached by then is missed.
+    // enqueue, so no extreme reached by then is missed.  A signal with no
+    // open variable has nothing left to force.  With open variables the
+    // interval is not a point, so at most one extreme is forced.
     const stg::SignalId z = problem_->signal(idx);
     const SignalState& s = signals_[z];
-    const bool at_max = s.fixed + s.pos_slack == 0;
-    const bool at_min = s.fixed - s.neg_slack == 0;
-    switch (relation_) {
-        case CodeRelation::Equal:
-            if (at_max) force_extreme(z, /*maximum=*/true);
-            if (at_min) force_extreme(z, /*maximum=*/false);
-            break;
-        case CodeRelation::LessEq:
-            if (at_min) force_extreme(z, /*maximum=*/false);
-            break;
-        case CodeRelation::GreaterEq:
-            if (at_max) force_extreme(z, /*maximum=*/true);
-            break;
+    if (s.pos_slack + s.neg_slack > 0) {
+        const bool at_max = s.fixed + s.pos_slack == 0;
+        const bool at_min = s.fixed - s.neg_slack == 0;
+        switch (relation_) {
+            case CodeRelation::Equal:
+                if (at_max) force_extreme(z, /*maximum=*/true);
+                if (at_min) force_extreme(z, /*maximum=*/false);
+                break;
+            case CodeRelation::LessEq:
+                if (at_min) force_extreme(z, /*maximum=*/false);
+                break;
+            case CodeRelation::GreaterEq:
+                if (at_max) force_extreme(z, /*maximum=*/true);
+                break;
+        }
     }
 
     // Theorem 1 closure (MCC): x(e)=1 forces predecessors to 1 and

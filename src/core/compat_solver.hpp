@@ -6,7 +6,10 @@
 //     D_z = sum_e delta(e) (x'_e - x''_e)   (=, <= or >= 0),
 //   * x'(e) = x''(e) = 0 for cut-off events (built into the dense index),
 //   * a caller-supplied non-linear separating predicate evaluated at leaves
-//     (markings differ / Out sets differ / Nxt comparison).
+//     (markings differ / Out sets differ / Nxt comparison; the checkers
+//     read a leaf's markings and codes with one XOR sweep over C, the
+//     parity form of the marking equation of a 1-safe net --
+//     cache::PrefixArtifacts::places_of_dense).
 //
 // Instead of feeding the constraints to a standard solver, the search only
 // ever visits Unf-compatible vectors (Theorem 1): assigning x(e)=1 forces
@@ -24,8 +27,13 @@
 //   * x(e)=1: a clash is preds[e] & zeros or confs[e] & ones; the newly
 //     forced bits are preds[e] & ~ones (to 1) and confs[e] & ~zeros (to 0),
 //   * x(e)=0: a clash is succs[e] & ones; succs[e] & ~zeros is forced to 0,
-// plus the scalar first-difference and section 7 links below.  Every rule
-// is a monotone implication and every interval check only tightens as
+// plus the scalar first-difference and section 7 links below.  When D_z of
+// the processed variable's signal z sits at the extreme its relation
+// allows and z still has open variables, the extreme is forced word by
+// word too: the CodingProblem's rises[z] / falls[z] rows masked by
+// ~(ones | zeros) go to the value that keeps D_z at that extreme (at the
+// maximum x' takes z's rises and x'' its falls).  A fully assigned signal
+// is skipped without reading a row.  Every rule is a monotone implication and every interval check only tightens as
 // assignments grow, so the queue order cannot change the fixpoint reached,
 // nor whether a contradiction is reached: search nodes, leaves, verdicts
 // and witnesses are independent of it.  Only the number of variables
@@ -115,6 +123,13 @@ struct LanePredicate {
 /// several threads at once.
 using LanePredicateFactory = std::function<LanePredicate()>;
 
+/// A variable of the pair search: side 0 = x', side 1 = x'', idx = dense
+/// event index.
+struct VarRef {
+    std::uint8_t side;
+    std::uint32_t idx;
+};
+
 struct SearchOutcome {
     bool found = false;
     bool cancelled = false;  ///< search stopped by SearchOptions::cancel
@@ -173,6 +188,7 @@ private:
     bool enqueue(int side, std::size_t idx, int value);
     bool link(int side, std::size_t idx, int value);
     bool force_row(BitSpan row, int side, int value);
+    void force_open(BitSpan row, int side, int value);
     void force_extreme(stg::SignalId z, bool maximum);
     bool propagate(VarRef v);
     bool clash();

@@ -14,10 +14,8 @@
 // fires.  The service layer (src/svc/) uses this for per-request
 // deadlines: arm once at admission, hand the token to every solve.
 //
-// Composition: `CancellationToken::combine(a, b)` yields a token that is
-// cancelled as soon as either input is.  The parallel algorithms use it to
-// merge their internal early-stop tokens with a caller-supplied deadline
-// token without either side knowing about the other.
+// A task that must stop on either of two tokens (say, find_first's early
+// stop and a request deadline) polls both.
 //
 // The release/acquire pair on the flag makes everything written by the
 // cancelling thread before `cancel()` visible to a task that observes the
@@ -38,39 +36,25 @@ namespace stgcc::sched {
 
 class CancellationSource;
 
-/// Polling handle.  Copyable, cheap (usually one shared_ptr); empty by
-/// default.  A combined token carries one flag per live input.
+/// Polling handle.  Copyable, cheap (one shared_ptr); empty by default.
 class CancellationToken {
 public:
     CancellationToken() = default;
 
     /// True when the token is connected to a source (empty tokens are not).
-    [[nodiscard]] bool cancellable() const noexcept { return !flags_.empty(); }
+    [[nodiscard]] bool cancellable() const noexcept { return flag_ != nullptr; }
 
-    /// True once any connected source was cancelled; empty tokens never are.
+    /// True once the connected source was cancelled; empty tokens never are.
     [[nodiscard]] bool cancelled() const noexcept {
-        for (const auto& f : flags_)
-            if (f->load(std::memory_order_acquire)) return true;
-        return false;
-    }
-
-    /// A token cancelled when either input is.  Empty inputs contribute
-    /// nothing, so combine(a, {}) behaves exactly like a.
-    [[nodiscard]] static CancellationToken combine(const CancellationToken& a,
-                                                   const CancellationToken& b) {
-        CancellationToken out;
-        out.flags_.reserve(a.flags_.size() + b.flags_.size());
-        out.flags_.insert(out.flags_.end(), a.flags_.begin(), a.flags_.end());
-        out.flags_.insert(out.flags_.end(), b.flags_.begin(), b.flags_.end());
-        return out;
+        return flag_ && flag_->load(std::memory_order_acquire);
     }
 
 private:
     friend class CancellationSource;
     using Flag = std::shared_ptr<const std::atomic<bool>>;
-    explicit CancellationToken(Flag flag) { flags_.push_back(std::move(flag)); }
+    explicit CancellationToken(Flag flag) : flag_(std::move(flag)) {}
 
-    std::vector<Flag> flags_;
+    Flag flag_;
 };
 
 namespace detail {

@@ -232,7 +232,7 @@ Stg parse_astg(std::istream& in) {
             parse_fail(lno, "repeated marking entry: " + tok);
         if (name.front() == '<') {
             auto [from, to] = split_implicit(name, lno);
-            for (std::uint32_t k = 0; k < count; ++k) b.token_between(from, to);
+            b.token_between(from, to, count);
         } else {
             b.tokens(name, count);
         }

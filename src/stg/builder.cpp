@@ -119,11 +119,14 @@ StgBuilder& StgBuilder::chain(const std::vector<std::string>& nodes) {
     return *this;
 }
 
-StgBuilder& StgBuilder::token_between(const std::string& from, const std::string& to) {
+StgBuilder& StgBuilder::token_between(const std::string& from, const std::string& to,
+                                      std::uint32_t count) {
     STGCC_REQUIRE(!built_);
     const petri::PlaceId p = implicit_place(from, to);
     init_tokens_.resize(std::max<std::size_t>(init_tokens_.size(), p + 1), 0);
-    ++init_tokens_[p];
+    // Saturate: a count that wrapped would turn a non-safe marking safe.
+    std::uint32_t& held = init_tokens_[p];
+    held = count > UINT32_MAX - held ? UINT32_MAX : held + count;
     return *this;
 }
 

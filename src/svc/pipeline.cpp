@@ -3,6 +3,7 @@
 #include "core/extended_checks.hpp"
 #include "core/persistency.hpp"
 #include "core/report_codec.hpp"
+#include "obs/expo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stg/astg.hpp"
@@ -253,6 +254,15 @@ ModelCheck check_model(const std::string& text, const CheckOptions& copts,
                        const cache::ResultCache& rcache, sched::Executor* ex,
                        unsigned jobs, const sched::CancellationToken& cancel,
                        const Prepare& prepare) {
+    // Every report that carries the metrics registry measures the resident
+    // set once the check is over, on every return path.
+    struct NoteRss {
+        ~NoteRss() {
+            if (obs::enabled())
+                obs::gauge("mem.rss_bytes")
+                    .set(static_cast<std::int64_t>(obs::process_rss_bytes()));
+        }
+    } note_rss;
     core::VerifyOptions vopts = verify_options(copts);
     vopts.jobs = jobs;
     vopts.search.cancel = cancel;

@@ -5,6 +5,7 @@
 #include "petri/reachability.hpp"
 #include "stg/benchmarks.hpp"
 #include "stg/state_graph.hpp"
+#include "unfolding/unfolder.hpp"
 
 namespace stgcc::stg {
 namespace {
@@ -188,6 +189,25 @@ TEST(Astg, BadMarkingCountRejectedWithLine) {
     EXPECT_THROW((void)parse_astg_string(".inputs a\n.capacity p=x\n.graph\np a+\n"
                                          "a+ a-\na- p\n.marking { p }\n.end\n"),
                  ModelError);
+}
+
+TEST(Astg, ImplicitPlaceCountSetInOneStep) {
+    // "<a,b>=k" sets the count once (it used to add k single tokens), and a
+    // non-safe count is then rejected by the unfolder.
+    const Stg stg = parse_astg_string(
+        ".inputs a\n.outputs b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n"
+        ".marking { <b-,a+>=4000000000 }\n.end\n");
+    const auto p = stg.net().find_place("<b-,a+>");
+    ASSERT_NE(p, petri::kNoPlace);
+    EXPECT_EQ(stg.system().initial_marking()[p], 4000000000u);
+    try {
+        (void)unf::unfold(stg.system());
+        ADD_FAILURE() << "a non-safe marking unfolded";
+    } catch (const ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("initially holds 4000000000 tokens"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Astg, CapacityDirectiveParsed) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +19,9 @@
 #include "core/compat_solver.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
+#include "stg/builder.hpp"
 #include "unfolding/configuration.hpp"
 #include "test_util.hpp"
 
@@ -108,28 +111,98 @@ TEST(PrefixArtifacts, CoRowsMatchPairwiseConcurrency) {
     }
 }
 
+/// A random dense configuration: the union of the local configurations of
+/// randomly drawn events, each drawn event kept only when it conflicts with
+/// nothing already in (conflicts are inherited, so then neither does any
+/// event of its local configuration).
+BitVec random_configuration(const core::CodingProblem& problem,
+                            std::mt19937& rng) {
+    BitVec config(problem.size());
+    const std::size_t draws = problem.size() == 0 ? 0 : rng() % (problem.size() + 1);
+    for (std::size_t k = 0; k < draws; ++k) {
+        const std::size_t i = rng() % problem.size();
+        if (config.intersects(problem.conflicts(i))) continue;
+        config |= problem.preds(i);
+        config.set(i);
+    }
+    return config;
+}
+
+/// places_of_dense, marking_of_dense and state_of_dense against the
+/// condition-level helper (unf::marking_of) and CodingProblem::code_of, on
+/// the empty configuration, every local configuration [e] and random
+/// unions of pairwise compatible local configurations.
+void expect_dense_states_agree(const cache::PrefixArtifacts& artifacts,
+                               unsigned seed, const std::string& name) {
+    ASSERT_TRUE(artifacts.consistent()) << name;
+    const auto& problem = artifacts.problem();
+    std::vector<BitVec> configs{BitVec(problem.size())};
+    for (std::size_t i = 0; i < problem.size(); ++i) {
+        BitVec local(problem.preds(i));
+        local.set(i);
+        configs.push_back(std::move(local));
+    }
+    std::mt19937 rng(seed);
+    for (int k = 0; k < 64; ++k) configs.push_back(random_configuration(problem, rng));
+
+    BitVec places, state_places;
+    stg::Code code;
+    for (const BitVec& config : configs) {
+        const petri::Marking want =
+            unf::marking_of(artifacts.prefix(), problem.to_event_set(config));
+        EXPECT_EQ(artifacts.marking_of_dense(config), want)
+            << name << " config=" << config;
+        artifacts.places_of_dense(config, places);
+        artifacts.state_of_dense(config, state_places, code);
+        ASSERT_EQ(places.size(), want.num_places()) << name;
+        for (std::size_t p = 0; p < want.num_places(); ++p)
+            EXPECT_EQ(places.test(p), want[p] == 1)
+                << name << " config=" << config << " place=" << p;
+        EXPECT_EQ(state_places, places) << name << " config=" << config;
+        EXPECT_EQ(code, problem.code_of(config)) << name << " config=" << config;
+    }
+}
+
 TEST(PrefixArtifacts, MarkingOfDenseAgreesWithConfigurationHelper) {
-    for (unsigned seed : {1001u, 1005u, 1023u}) {
+    for (unsigned seed : {1001u, 1005u, 1023u, 1031u, 1047u}) {
         auto model = test::random_stg(seed);
         cache::PrefixArtifacts artifacts(model);
-        ASSERT_TRUE(artifacts.consistent()) << "seed=" << seed;
-        const auto& problem = artifacts.problem();
-        // The empty configuration reaches the initial marking...
-        BitVec empty(std::max<std::size_t>(problem.size(), 1));
-        EXPECT_EQ(artifacts.marking_of_dense(empty),
-                  unf::marking_of(artifacts.prefix(),
-                                  problem.to_event_set(empty)));
-        // ... and every local configuration [e] agrees bit-for-bit with the
-        // sparse helper the masks replace.
-        for (std::size_t i = 0; i < problem.size(); ++i) {
-            BitVec config(problem.preds(i));
-            config.set(i);
-            EXPECT_EQ(artifacts.marking_of_dense(config),
-                      unf::marking_of(artifacts.prefix(),
-                                      problem.to_event_set(config)))
-                << "seed=" << seed << " dense=" << i;
-        }
+        expect_dense_states_agree(artifacts, seed, "seed " + std::to_string(seed));
     }
+}
+
+TEST(PrefixArtifacts, SelfLoopPlaceKeepsItsToken) {
+    // p is in both the preset and the postset of b+ (a read arc): firing
+    // b+ leaves its token where it was, so p toggles with no event.
+    stg::StgBuilder b("self-loop");
+    b.input("a").output("b");
+    b.place("p", 1);
+    b.arc("a+", "b+").arc("b+", "a-").arc("a-", "b-").arc("b-", "a+");
+    b.arc("p", "b+").arc("b+", "p");
+    b.token_between("b-", "a+");
+    const stg::Stg model = b.build();
+    cache::PrefixArtifacts artifacts(model);
+    const petri::PlaceId p = model.net().find_place("p");
+    BitVec places;
+    for (std::size_t i = 0; i < artifacts.problem().size(); ++i) {
+        BitVec local(artifacts.problem().preds(i));
+        local.set(i);
+        artifacts.places_of_dense(local, places);
+        EXPECT_TRUE(places.test(p)) << "dense=" << i;
+    }
+    expect_dense_states_agree(artifacts, 5, "self-loop");
+}
+
+TEST(PrefixArtifacts, MarkingOfDenseAgreesOnEveryModel) {
+    std::size_t models = 0;
+    for (const auto& entry : fs::directory_iterator(STGCC_MODELS_DIR)) {
+        if (entry.path().extension() != ".g") continue;
+        const auto model = stg::load_astg_file(entry.path().string());
+        cache::PrefixArtifacts artifacts(model);
+        expect_dense_states_agree(artifacts, 7, entry.path().stem().string());
+        ++models;
+    }
+    EXPECT_GT(models, 0u);
 }
 
 TEST(PrefixArtifacts, ConsistencyMatchesStandaloneAnalysis) {

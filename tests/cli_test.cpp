@@ -8,6 +8,7 @@
 
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -114,6 +115,54 @@ TEST_F(CliTest, StgcheckExitCodes) {
                   in_work("missing.g") + " --no-cache")
                   .exit_code,
               2);
+}
+
+TEST_F(CliTest, HugeImplicitPlaceCountEndsInModelError) {
+    // The count is set in one step, so four billion tokens on an implicit
+    // place are rejected as quickly as two.
+    {
+        std::ofstream g(in_work("huge.g"));
+        g << ".inputs a\n.outputs b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n"
+             ".marking { <b-,a+>=4000000000 }\n.end\n";
+    }
+    const auto start = std::chrono::steady_clock::now();
+    const auto r = run(std::string(STGCC_STGCHECK_BIN) + " " +
+                       in_work("huge.g") + " --no-cache");
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(20));
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("initially holds 4000000000 tokens"),
+              std::string::npos)
+        << r.output;
+}
+
+TEST_F(CliTest, OfflineJsonReportsMeasureRss) {
+    // mem.rss_bytes is measured on every check, not only by stgd: an
+    // offline report never carries a zero that looks like a measurement.
+    const auto rss_of = [](const std::string& path) -> std::int64_t {
+        const auto bytes = cache::read_file_bytes(path);
+        if (!bytes) return -1;
+        const auto report = obs::Json::parse(*bytes);
+        if (!report) return -1;
+        const obs::Json* body = report->find("body");
+        const obs::Json* metrics = body ? body->find("metrics") : nullptr;
+        const obs::Json* gauges = metrics ? metrics->find("gauges") : nullptr;
+        const obs::Json* rss = gauges ? gauges->find("mem.rss_bytes") : nullptr;
+        return rss ? rss->as_int() : -1;
+    };
+    const auto check = run(std::string(STGCC_STGCHECK_BIN) + " " +
+                           model("vme.g") + " --no-cache --json " +
+                           in_work("check.json"));
+    EXPECT_EQ(check.exit_code, 1) << check.output;
+    EXPECT_GT(rss_of(in_work("check.json")), 0);
+    {
+        std::ofstream m(in_work("batch.txt"));
+        m << model("johnson4.g") << "\n";
+    }
+    const auto batch = run(std::string(STGCC_STGBATCH_BIN) + " " +
+                           in_work("batch.txt") + " --quiet --no-cache --json " +
+                           in_work("batch.json"));
+    EXPECT_EQ(batch.exit_code, 0) << batch.output;
+    EXPECT_GT(rss_of(in_work("batch.json")), 0);
 }
 
 TEST_F(CliTest, StgbatchExitCodesCoverOkViolatedAndError) {

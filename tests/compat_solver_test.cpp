@@ -255,11 +255,14 @@ struct ReferenceClosure {
                 hi == 0 && relation != CodeRelation::LessEq;
             const bool force_min =
                 lo == 0 && relation != CodeRelation::GreaterEq;
-            for (const VarRef& r : problem->vars_of_signal()[z]) {
-                if (val[r.side][r.idx] != -1) continue;
-                const bool up = coef(r.side, r.idx) > 0;
-                if (force_max) work.emplace_back(r.side, r.idx, up ? 1 : 0);
-                if (force_min) work.emplace_back(r.side, r.idx, up ? 0 : 1);
+            for (std::size_t j = 0; j < problem->size(); ++j) {
+                if (problem->signal(j) != z) continue;
+                for (int r = 0; r < 2; ++r) {
+                    if (val[r][j] != -1) continue;
+                    const bool up = coef(r, j) > 0;
+                    if (force_max) work.emplace_back(r, j, up ? 1 : 0);
+                    if (force_min) work.emplace_back(r, j, up ? 0 : 1);
+                }
             }
             for (std::size_t j = 0; j < problem->size(); ++j) {
                 if (v == 1 && problem->preds(i).test(j)) work.emplace_back(s, j, 1);
@@ -445,6 +448,33 @@ TEST(CodingProblem, CodeOfMatchesChangeVector) {
             const bool expected = (v[z] != 0);
             EXPECT_EQ(code.test(z) != problem.initial_code().test(z), expected);
         }
+    }
+}
+
+TEST(CodingProblem, RisesAndFallsPartitionEachSignal) {
+    for (unsigned seed : {3u, 11u, 29u}) {
+        auto model = test::random_stg(seed);
+        auto prefix = unf::unfold(model.system());
+        const CodingProblem problem(model, prefix);
+        BitVec seen(problem.size());
+        for (stg::SignalId z = 0; z < model.num_signals(); ++z) {
+            const BitSpan rises = problem.rises(z), falls = problem.falls(z);
+            ASSERT_EQ(rises.size(), problem.size());
+            ASSERT_EQ(falls.size(), problem.size());
+            EXPECT_FALSE(rises.intersects(falls)) << "seed " << seed << " z " << z;
+            for (std::size_t i = 0; i < problem.size(); ++i) {
+                const bool of_z = problem.signal(i) == z;
+                EXPECT_EQ(rises.test(i), of_z && problem.delta(i) > 0)
+                    << "seed " << seed << " z " << z << " i " << i;
+                EXPECT_EQ(falls.test(i), of_z && problem.delta(i) < 0)
+                    << "seed " << seed << " z " << z << " i " << i;
+                if (rises.test(i) || falls.test(i)) {
+                    EXPECT_FALSE(seen.test(i)) << "seed " << seed << " i " << i;
+                    seen.set(i);
+                }
+            }
+        }
+        EXPECT_EQ(seen.count(), problem.size()) << "seed " << seed;
     }
 }
 

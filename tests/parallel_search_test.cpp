@@ -289,8 +289,7 @@ FlagRef normalcy_reference(const UnfoldingChecker& checker) {
     (void)solver.solve(CodeRelation::LessEq, serial, [&] {
         return LanePredicate{
             [&](const BitVec& ca, const BitVec& cb) {
-                leaf.load(ca, cb);
-                leaf.load_codes(ca, cb);
+                leaf.load_with_codes(ca, cb);
                 for (std::size_t i = 0; i < outputs.size(); ++i) {
                     const bool lo = leaf.nxt(0, outputs[i]);
                     const bool hi = leaf.nxt(1, outputs[i]);
